@@ -68,6 +68,17 @@ void BM_BddFromTruthTable(benchmark::State& state) {
 }
 BENCHMARK(BM_BddFromTruthTable)->Arg(10)->Arg(13)->Arg(15);
 
+void BM_ColumnMultiplicity(benchmark::State& state) {
+  // The production hashing classifier, on the same function as the two
+  // engines below.
+  Rng rng(3);
+  const TruthTable t = random_tt(rng, 13);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(column_classes(t, 5).multiplicity());
+  }
+}
+BENCHMARK(BM_ColumnMultiplicity);
+
 void BM_ColumnMultiplicityBdd(benchmark::State& state) {
   Rng rng(3);
   const TruthTable t = random_tt(rng, 13);

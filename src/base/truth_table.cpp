@@ -11,6 +11,11 @@ std::size_t word_count_for(int num_vars) {
   return num_vars <= 6 ? 1 : (std::size_t{1} << (num_vars - 6));
 }
 
+// Bit positions of a word at which variable v (v < 6) is 1.
+constexpr std::uint64_t kVarMask[6] = {
+    0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
+    0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL};
+
 void check_arity(int num_vars) {
   TS_CHECK(num_vars >= 0 && num_vars <= TruthTable::kMaxVars,
            "truth table arity " << num_vars << " out of range [0, " << TruthTable::kMaxVars << "]");
@@ -39,12 +44,7 @@ TruthTable TruthTable::var(int num_vars, int index) {
   TS_CHECK(index >= 0 && index < num_vars, "variable index " << index << " out of range");
   TruthTable t(num_vars, word_count_for(num_vars));
   if (index < 6) {
-    // Periodic pattern within each word.
-    std::uint64_t pattern = 0;
-    for (int i = 0; i < 64; ++i) {
-      if ((i >> index) & 1) pattern |= std::uint64_t{1} << i;
-    }
-    std::fill(t.words_.begin(), t.words_.end(), pattern);
+    std::fill(t.words_.begin(), t.words_.end(), kVarMask[index]);
   } else {
     // Whole words alternate in blocks of 2^(index-6).
     const std::size_t block = std::size_t{1} << (index - 6);
@@ -142,10 +142,7 @@ TruthTable TruthTable::cofactor(int var, bool value) const {
   TruthTable t(*this);
   if (var < 6) {
     const int shift = 1 << var;
-    std::uint64_t keep = 0;
-    for (std::size_t i = 0; i < 64; ++i) {
-      if (((i >> var) & 1) == static_cast<std::size_t>(value)) keep |= std::uint64_t{1} << i;
-    }
+    const std::uint64_t keep = value ? kVarMask[var] : ~kVarMask[var];
     for (auto& w : t.words_) {
       const std::uint64_t sel = w & keep;
       w = value ? (sel | (sel >> shift)) : (sel | (sel << shift));
@@ -172,20 +169,79 @@ std::vector<int> TruthTable::support() const {
   return vars;
 }
 
+void TruthTable::swap_vars(int i, int j) {
+  TS_ASSERT(i < j && j < num_vars_);
+  if (j < 6) {
+    // Delta swap inside each word: bits with x_i=1, x_j=0 trade places with
+    // bits with x_i=0, x_j=1.
+    const int shift = (1 << j) - (1 << i);
+    const std::uint64_t m = kVarMask[i] & ~kVarMask[j];
+    for (auto& w : words_) {
+      const std::uint64_t d = ((w >> shift) ^ w) & m;
+      w ^= d | (d << shift);
+    }
+  } else if (i < 6) {
+    // x_j selects between word pairs; swap the x_i=1 half of the low word
+    // with the x_i=0 half of the high word.
+    const std::size_t step = std::size_t{1} << (j - 6);
+    const int shift = 1 << i;
+    const std::uint64_t m = kVarMask[i];
+    for (std::size_t w = 0; w < words_.size(); w += 2 * step) {
+      for (std::size_t k = w; k < w + step; ++k) {
+        const std::uint64_t lo = words_[k];
+        const std::uint64_t hi = words_[k + step];
+        words_[k] = (lo & ~m) | ((hi & ~m) << shift);
+        words_[k + step] = (hi & m) | ((lo & m) >> shift);
+      }
+    }
+  } else {
+    // Both select words: exchange the words with x_i=1, x_j=0 and x_i=0, x_j=1.
+    const std::size_t si = std::size_t{1} << (i - 6);
+    const std::size_t sj = std::size_t{1} << (j - 6);
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      if ((w & si) != 0 && (w & sj) == 0) std::swap(words_[w], words_[w - si + sj]);
+    }
+  }
+}
+
 TruthTable TruthTable::remap(int new_num_vars, std::span<const int> var_map) const {
   check_arity(new_num_vars);
   TS_CHECK(static_cast<int>(var_map.size()) == num_vars_, "remap needs one entry per variable");
-  TruthTable t(new_num_vars, word_count_for(new_num_vars));
-  const std::uint32_t out_bits = static_cast<std::uint32_t>(t.num_bits());
-  for (std::uint32_t out = 0; out < out_bits; ++out) {
-    std::uint32_t in = 0;
-    for (int v = 0; v < num_vars_; ++v) {
-      const int nv = var_map[v];
-      TS_CHECK(nv >= 0 && nv < new_num_vars, "remap target out of range");
-      if ((out >> nv) & 1) in |= std::uint32_t{1} << v;
-    }
-    if (bit(in)) t.set_bit(out, true);
+  // dest[p]: the position the variable now at p must end at. Positions
+  // num_vars_.. are don't-cares after widening; they take the unused targets.
+  int dest[kMaxVars];
+  bool used[kMaxVars] = {};
+  for (int v = 0; v < num_vars_; ++v) {
+    const int nv = var_map[static_cast<std::size_t>(v)];
+    TS_CHECK(nv >= 0 && nv < new_num_vars, "remap target out of range");
+    TS_CHECK(!used[nv], "remap targets must be distinct");
+    used[nv] = true;
+    dest[v] = nv;
   }
+  for (int nv = 0, p = num_vars_; nv < new_num_vars; ++nv) {
+    if (!used[nv]) dest[p++] = nv;
+  }
+
+  // Widen by replication: the new variables num_vars_.. do not matter.
+  TruthTable t(new_num_vars, word_count_for(new_num_vars));
+  if (num_vars_ < 6) {
+    std::uint64_t w = words_[0] & ((std::uint64_t{1} << (std::size_t{1} << num_vars_)) - 1);
+    for (int v = num_vars_; v < 6; ++v) w |= w << (1 << v);
+    std::fill(t.words_.begin(), t.words_.end(), w);
+  } else {
+    for (std::size_t w = 0; w < t.words_.size(); ++w) t.words_[w] = words_[w % words_.size()];
+  }
+
+  // Selection by swaps: settle positions in ascending order.
+  for (int p = 0; p < new_num_vars; ++p) {
+    int q = p;
+    while (dest[q] != p) ++q;
+    if (q != p) {
+      t.swap_vars(p, q);
+      std::swap(dest[p], dest[q]);
+    }
+  }
+  t.mask_tail();
   return t;
 }
 

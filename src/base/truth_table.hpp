@@ -32,6 +32,7 @@ class TruthTable {
   std::size_t num_bits() const { return std::size_t{1} << num_vars_; }
   std::size_t num_words() const { return words_.size(); }
   std::uint64_t word(std::size_t i) const { return words_[i]; }
+  std::span<const std::uint64_t> words() const { return words_; }
 
   bool bit(std::uint32_t assignment) const;
   void set_bit(std::uint32_t assignment, bool value);
@@ -58,6 +59,9 @@ class TruthTable {
 
   /// Re-expresses f over new_num_vars variables where old variable i becomes
   /// variable var_map[i]. var_map entries must be distinct and within range.
+  /// Word-parallel: the table is widened by replication, then permuted by at
+  /// most new_num_vars-1 variable swaps (delta swaps inside a 64-bit word,
+  /// masked shifts between word pairs, whole-word exchanges above variable 6).
   TruthTable remap(int new_num_vars, std::span<const int> var_map) const;
 
   /// Drops variable var (must not be in the support), shrinking arity by one;
@@ -73,6 +77,8 @@ class TruthTable {
 
   TruthTable(int num_vars, std::size_t word_count) : num_vars_(num_vars), words_(word_count, 0) {}
   void mask_tail();
+  /// Exchanges the roles of variables i < j in place.
+  void swap_vars(int i, int j);
 
   int num_vars_;
   std::vector<std::uint64_t> words_;

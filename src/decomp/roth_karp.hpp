@@ -11,10 +11,21 @@
 //
 // Strategy (following FlowSYN / the paper): sort inputs by increasing
 // effective label; repeatedly pick a bound set B of least-critical signals
-// with at least one level of slack, compute the column multiplicity mu via
-// the OBDD built with B ordered first (mu = #distinct cofactors across the
-// bound/free boundary), and replace B by t = ceil(log2 mu) encoder signals.
-// Succeeds when at most K signals remain and the achieved label is <= T.
+// with at least one level of slack, compute the column multiplicity mu (the
+// number of distinct cofactors across the bound/free boundary), and replace
+// B by t = ceil(log2 mu) encoder signals. Succeeds when at most K signals
+// remain and the achieved label is <= T.
+//
+// The paper computes mu on an OBDD built with B ordered first. With
+// Cmax <= 15 a cut function is at most 512 words, so the production kernel
+// works on the truth table instead: one word-parallel remap puts the free
+// variables low and B high, making each bound-assignment cofactor a
+// contiguous run of bits or words; runs are classified by hashing, every
+// hash match confirmed word by word. Classes are numbered by first
+// occurrence in x0-major order, exactly as the OBDD's low-first DFS emits
+// them, so encoders and results are those of the OBDD method. BDDs remain
+// as the test oracle (column_classes_bdd) and in verify/ for miters; the
+// decomposition path constructs no BddManager.
 
 #include <cstdint>
 #include <span>
@@ -49,18 +60,21 @@ struct DecompResult {
   /// meaningful only on success.
   int achieved_label = 0;
   /// True iff at least one Roth–Karp step was abandoned because the BDD node
-  /// budget fired; a failure with this flag set is not a proof that no
-  /// decomposition exists.
+  /// budget fired (see robdd_exceeds_budget); a failure with this flag set is
+  /// not a proof that no decomposition exists.
   bool budget_limited = false;
 };
 
 struct DecompOptions {
   int k = 5;               // LUT input count
-  bool use_bdd = true;     // mu via OBDD (paper); false = truth-table engine
+  /// true: the hashing kernel, numbering classes as the paper's OBDD does;
+  /// false: the legacy truth-table engine (signature order, other encoders).
+  bool use_bdd = true;
   int max_attempts = 64;   // bound-set selection attempts per round
-  /// BDD node ceiling per classification (0 = the manager's default). When
-  /// it fires, that bound set is treated as offering no compression and the
-  /// result is marked budget_limited instead of throwing.
+  /// Ceiling on the OBDD (bound set first) of each classification; 0 = none.
+  /// When the OBDD would exceed it, that bound set is treated as offering no
+  /// compression and the result is marked budget_limited. Counted on the
+  /// truth table; only the use_bdd engine honours it.
   std::size_t bdd_node_budget = 0;
 };
 
@@ -69,11 +83,29 @@ struct DecompOptions {
 DecompResult decompose_for_label(const TruthTable& f, std::span<const int> eff_labels,
                                  int target_label, const DecompOptions& options);
 
-/// Column multiplicity of f for the bound set = variables 0..boundary-1
-/// (inputs already ordered bound-first). Exposed for tests/benchmarks; both
-/// engines must agree.
+/// Column classes of f for the bound set = variables 0..boundary-1.
+struct ColumnClasses {
+  /// Class of each bound assignment (bit j = variable j), numbered by first
+  /// occurrence in x0-major order.
+  std::vector<std::uint32_t> code_of;
+  /// Per class, its cofactor over the free variables (f's variables
+  /// boundary.. renumbered from 0).
+  std::vector<TruthTable> functions;
+  std::size_t multiplicity() const { return functions.size(); }
+};
+
+/// The production hashing classifier.
+ColumnClasses column_classes(const TruthTable& f, int boundary);
+/// The paper's OBDD classification: the oracle column_classes must match.
+ColumnClasses column_classes_bdd(const TruthTable& f, int boundary);
 std::size_t column_multiplicity_bdd(const TruthTable& f, int boundary);
+/// The legacy truth-table engine (use_bdd = false); same mu, other numbering.
 std::size_t column_multiplicity_tt(const TruthTable& f, int boundary);
+
+/// True iff BddManager(f.num_vars(), node_budget, OnBudget::kSaturate)
+/// would latch exhausted() building f (variable 0 on top), computed from
+/// the truth table without building the OBDD.
+bool robdd_exceeds_budget(const TruthTable& f, std::size_t node_budget);
 
 /// Evaluates a DecompResult on a full input assignment (bit i = input i).
 bool evaluate_decomposition(const DecompResult& result, std::uint32_t assignment);

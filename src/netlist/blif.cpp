@@ -157,7 +157,19 @@ class BlifParser {
         covers_.push_back(std::move(block));
         current_cover_ = &covers_.back();
       } else if (head == ".latch") {
+        // .latch <in> <out> [<type> <control>] [<init>]
         TS_CHECK(tokens.size() >= 3, at(at_line) << ".latch requires input and output");
+        TS_CHECK(tokens.size() <= 4,
+                 at(at_line) << ".latch type/control is not supported (only '.latch <in> <out> "
+                                "[<init>]' clocked by the global clock)");
+        if (tokens.size() == 4) {
+          const std::string& init = tokens[3];
+          TS_CHECK(init != "1", at(at_line) << ".latch initial value 1 is not supported: "
+                                               "initial states are taken as all-zero");
+          TS_CHECK(init == "0" || init == "2" || init == "3",
+                   at(at_line) << "invalid .latch initial value '" << init
+                               << "' (expected 0, 2 or 3; type/control is not supported)");
+        }
         latches_.push_back(LatchDef{tokens[1], tokens[2], at_line});
       } else if (head == ".end") {
         done = true;

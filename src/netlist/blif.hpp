@@ -3,8 +3,11 @@
 //
 // Supported constructs: .model/.inputs/.outputs/.names/.latch/.end, comments
 // and line continuations. Latches are absorbed into edge weights of the
-// retiming graph (a chain of k latches becomes weight k); latch initial
-// values are ignored, consistent with the paper's retiming formulation.
+// retiming graph (a chain of k latches becomes weight k). Circuits start from
+// the all-zero state, consistent with the paper's retiming formulation, so a
+// latch line is `.latch <in> <out> [<init>]` with init 0, 2 (don't care) or
+// 3 (unknown), all read as 0. Init 1 and latch type/control fields are
+// rejected with a file:line message rather than silently rewritten.
 // PO nodes receive an internal "$po:" name prefix so that output names may
 // coincide with internal signal names; the writer strips the prefix.
 

@@ -7,9 +7,9 @@
 //
 // Mutations cover the malformed shapes seen in the wild: truncated files,
 // flipped cover polarities, cover-row width mismatches, unknown directives,
-// duplicated drivers, garbage after .end, random byte edits and line
-// shuffles. Every accepted circuit is additionally validated end-to-end by
-// re-serializing it.
+// duplicated drivers, garbage after .end, latch init/type/control fields,
+// random byte edits and line shuffles. Every accepted circuit is
+// additionally validated end-to-end by re-serializing it.
 
 #include <chrono>
 #include <cstdlib>
@@ -37,7 +37,7 @@ std::string random_token(Rng& rng) {
 std::string mutate(const std::string& base, Rng& rng) {
   std::string s = base;
   if (s.empty()) return random_token(rng);  // fully truncated earlier round
-  const int kind = static_cast<int>(rng.next_below(8));
+  const int kind = static_cast<int>(rng.next_below(9));
   switch (kind) {
     case 0:  // truncate at a random byte (mid-token, mid-line, anywhere)
       s.resize(rng.next_below(s.size() + 1));
@@ -72,6 +72,20 @@ std::string mutate(const std::string& base, Rng& rng) {
       const int n = static_cast<int>(rng.next_in(1, 6));
       for (int i = 0; i < n; ++i) line += random_token(rng) + " ";
       s.insert(rng.next_below(s.size() + 1), "\n" + line + "\n");
+      break;
+    }
+    case 7: {  // rewrite a latch's trailing fields (init values, type/control)
+      static const char* tails[] = {"",      " 0",        " 1",      " 2",      " 3",
+                                    " 4",    " re clk",   " fe c 0", " ah c 1", " re",
+                                    " 0 0",  " as clk 3", " x"};
+      const auto pos = s.find(".latch");
+      if (pos == std::string::npos) break;
+      const auto eol = s.find('\n', pos);
+      std::string line = s.substr(pos, eol == std::string::npos ? std::string::npos : eol - pos);
+      const auto fields = line.find(' ', line.find(' ', line.find(' ') + 1) + 1);
+      if (fields != std::string::npos) line.resize(fields);
+      line += tails[rng.next_below(sizeof(tails) / sizeof(tails[0]))];
+      s.replace(pos, eol == std::string::npos ? std::string::npos : eol - pos, line);
       break;
     }
     default: {  // duplicate a chunk (duplicate drivers / repeated sections)

@@ -142,6 +142,43 @@ TEST(BlifReader, RejectsMalformedInput) {
                Error);  // latch loop without combinational driver
 }
 
+std::string toggle_with_latch(const std::string& latch_line) {
+  return ".model toggle\n.inputs en\n.outputs q\n" + latch_line +
+         "\n.names en q n\n10 1\n01 1\n.end\n";
+}
+
+TEST(BlifReader, LatchInitialValuesZeroDontCareAndUnknownReadAsZero) {
+  const Circuit plain = read_blif_string(toggle_with_latch(".latch n q"));
+  for (const char* init : {"0", "2", "3"}) {
+    const Circuit c = read_blif_string(toggle_with_latch(std::string(".latch n q ") + init));
+    EXPECT_EQ(write_blif_string(c), write_blif_string(plain)) << "init " << init;
+  }
+}
+
+TEST(BlifReader, RejectsLatchInitialValueOne) {
+  // Reading init 1 as 0 would make every downstream answer (and the audit)
+  // about a different circuit.
+  try {
+    (void)read_blif_string(toggle_with_latch(".latch n q 1"), "t.blif");
+    FAIL() << "init 1 accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("t.blif:4:"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("initial value 1"), std::string::npos) << e.what();
+  }
+}
+
+TEST(BlifReader, RejectsLatchTypeAndControl) {
+  for (const char* line : {".latch n q re clk", ".latch n q re clk 0", ".latch n q fe clk 1",
+                           ".latch n q re", ".latch n q 4", ".latch n q 0 0"}) {
+    try {
+      (void)read_blif_string(toggle_with_latch(line), "t.blif");
+      FAIL() << "accepted: " << line;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("t.blif:4:"), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(BlifReader, CommentsAndContinuations) {
   const Circuit c = read_blif_string(R"(.model cc  # trailing comment
 # full-line comment

@@ -2,6 +2,7 @@
 
 #include "base/check.hpp"
 #include "base/rng.hpp"
+#include "bdd/bdd.hpp"
 #include "decomp/gate_decomp.hpp"
 #include "decomp/roth_karp.hpp"
 #include "netlist/gates.hpp"
@@ -16,6 +17,18 @@ TruthTable random_tt(Rng& rng, int vars) {
     if (rng.next_bool()) t.set_bit(i, true);
   }
   return t;
+}
+
+/// A random injective map of `from` variables into `to` variables.
+std::vector<int> random_map(Rng& rng, int from, int to) {
+  std::vector<int> targets(static_cast<std::size_t>(to));
+  for (int v = 0; v < to; ++v) targets[static_cast<std::size_t>(v)] = v;
+  for (int v = to - 1; v > 0; --v) {
+    std::swap(targets[static_cast<std::size_t>(v)],
+              targets[static_cast<std::size_t>(rng.next_in(0, v))]);
+  }
+  targets.resize(static_cast<std::size_t>(from));
+  return targets;
 }
 
 // ---- Column multiplicity ----
@@ -49,6 +62,98 @@ TEST(ColumnMultiplicity, XorChainIsAlwaysTwo) {
       EXPECT_EQ(column_multiplicity_bdd(tt_xor(vars), boundary), 2u);
     }
   }
+}
+
+/// f(x) = maj(x0, x1, x2) XOR ... over consecutive triples, with any
+/// leftover variables ANDed in.
+TruthTable majority_chain(int vars) {
+  TruthTable f = TruthTable::constant(vars, false);
+  int v = 0;
+  for (; v + 2 < vars; v += 3) {
+    const TruthTable a = TruthTable::var(vars, v);
+    const TruthTable b = TruthTable::var(vars, v + 1);
+    const TruthTable c = TruthTable::var(vars, v + 2);
+    f = f ^ ((a & b) | (a & c) | (b & c));
+  }
+  for (; v < vars; ++v) f = f & TruthTable::var(vars, v);
+  return f;
+}
+
+void expect_same_classes(const TruthTable& f, int boundary, const std::string& what) {
+  const ColumnClasses got = column_classes(f, boundary);
+  const ColumnClasses want = column_classes_bdd(f, boundary);
+  EXPECT_EQ(got.multiplicity(), want.multiplicity()) << what;
+  EXPECT_EQ(got.code_of, want.code_of) << what;
+  EXPECT_EQ(got.functions, want.functions) << what;
+}
+
+TEST(ColumnClasses, MatchTheObddClassificationExactly) {
+  Rng rng(31);
+  for (int vars = 3; vars <= 15; ++vars) {
+    for (int boundary = 2; boundary <= std::min(5, vars - 1); ++boundary) {
+      const std::string where = "vars=" + std::to_string(vars) + " b=" + std::to_string(boundary);
+      expect_same_classes(TruthTable::constant(vars, false), boundary, "const0 " + where);
+      expect_same_classes(TruthTable::constant(vars, true), boundary, "const1 " + where);
+      expect_same_classes(tt_xor(vars), boundary, "xor " + where);
+      expect_same_classes(majority_chain(vars), boundary, "majority " + where);
+      for (int trial = 0; trial < (vars <= 12 ? 3 : 1); ++trial) {
+        expect_same_classes(random_tt(rng, vars), boundary, "random " + where);
+        // Few distinct columns: a random function of a small bound set and
+        // some free variables.
+        const int support = std::min(vars, boundary + 2);
+        expect_same_classes(random_tt(rng, support).remap(vars, random_map(rng, support, vars)),
+                            boundary, "sparse " + where);
+      }
+    }
+  }
+}
+
+TEST(ColumnClasses, WholeAndEmptyBoundSets) {
+  Rng rng(37);
+  for (int vars : {1, 4, 7}) {
+    const TruthTable f = random_tt(rng, vars);
+    expect_same_classes(f, 0, "b=0");
+    expect_same_classes(f, vars, "b=vars");
+  }
+}
+
+// ---- The BDD node budget without a BDD ----
+
+TEST(BddBudget, MatchesTheSaturatingManager) {
+  Rng rng(41);
+  std::vector<TruthTable> functions;
+  for (int vars = 0; vars <= 9; ++vars) {
+    for (int trial = 0; trial < 4; ++trial) functions.push_back(random_tt(rng, vars));
+    functions.push_back(TruthTable::constant(vars, vars % 2 == 0));
+    if (vars >= 1) functions.push_back(tt_xor(vars));
+    if (vars >= 1) functions.push_back(majority_chain(vars));
+    if (vars >= 3) {
+      functions.push_back(random_tt(rng, 3).remap(vars, random_map(rng, 3, vars)));
+    }
+  }
+  for (const TruthTable& f : functions) {
+    for (std::size_t budget = 1; budget <= 64; ++budget) {
+      BddManager mgr(f.num_vars(), budget, BddManager::OnBudget::kSaturate);
+      (void)mgr.from_truth_table(f);
+      EXPECT_EQ(robdd_exceeds_budget(f, budget), mgr.exhausted())
+          << "f=" << f.to_hex() << " vars=" << f.num_vars() << " budget=" << budget;
+    }
+  }
+}
+
+TEST(BddBudget, FlagsDecompositionAsBudgetLimited) {
+  const int m = 10;
+  const TruthTable f = tt_xor(m);
+  const std::vector<int> eff(static_cast<std::size_t>(m), 0);
+  DecompOptions opt;
+  opt.k = 5;
+  const DecompResult free_run = decompose_for_label(f, eff, 2, opt);
+  ASSERT_TRUE(free_run.success);
+  EXPECT_FALSE(free_run.budget_limited);
+  opt.bdd_node_budget = 1;
+  const DecompResult starved = decompose_for_label(f, eff, 2, opt);
+  EXPECT_FALSE(starved.success);
+  EXPECT_TRUE(starved.budget_limited);
 }
 
 // ---- decompose_for_label ----
@@ -139,6 +244,39 @@ TEST(RothKarp, BothEnginesProduceEquivalentResults) {
       EXPECT_TRUE(decomposition_matches(b, f));
     }
   }
+}
+
+TEST(RothKarp, DecomposableFunctionsAcrossTheWordBoundary) {
+  // f = g(h_0(block 0), h_1(block 1), ...) over blocks of up to four
+  // shuffled variables: each step compresses a block to one code variable,
+  // so residues are built for arities on both sides of 6 variables.
+  Rng rng(43);
+  int successes = 0;
+  for (int m = 6; m <= 13; ++m) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const std::vector<int> order = random_map(rng, m, m);
+      std::vector<TruthTable> vars;
+      for (int v = 0; v < m; ++v) {
+        vars.push_back(TruthTable::var(m, order[static_cast<std::size_t>(v)]));
+      }
+      std::vector<TruthTable> blocks;
+      for (int v = 0; v < m; v += 4) {
+        const int width = std::min(4, m - v);
+        blocks.push_back(compose(random_tt(rng, width), std::span(vars).subspan(v, width)));
+      }
+      const TruthTable f = compose(random_tt(rng, static_cast<int>(blocks.size())), blocks);
+      const std::vector<int> eff(static_cast<std::size_t>(m), 0);
+      for (int k : {4, 5}) {
+        DecompOptions opt;
+        opt.k = k;
+        const DecompResult r = decompose_for_label(f, eff, m, opt);
+        if (!r.success) continue;
+        ++successes;
+        EXPECT_TRUE(decomposition_matches(r, f)) << "m=" << m << " k=" << k;
+      }
+    }
+  }
+  EXPECT_GE(successes, 30);
 }
 
 class RothKarpRandomFunctions : public ::testing::TestWithParam<int> {};

@@ -107,6 +107,75 @@ TEST(TruthTable, RemapCanWidenArity) {
   EXPECT_EQ(g, TruthTable::var(5, 4) ^ TruthTable::var(5, 1));
 }
 
+TruthTable random_table(Rng& rng, int vars) {
+  TruthTable t = TruthTable::constant(vars, false);
+  for (std::uint32_t i = 0; i < t.num_bits(); ++i) t.set_bit(i, rng.next_bool());
+  return t;
+}
+
+/// The per-bit definition of remap: output bit `out` reads input bit `in`
+/// with in_v = out_{var_map[v]}.
+TruthTable naive_remap(const TruthTable& f, int new_num_vars, std::span<const int> var_map) {
+  TruthTable t = TruthTable::constant(new_num_vars, false);
+  for (std::uint32_t out = 0; out < t.num_bits(); ++out) {
+    std::uint32_t in = 0;
+    for (int v = 0; v < f.num_vars(); ++v) {
+      if ((out >> var_map[static_cast<std::size_t>(v)]) & 1) in |= std::uint32_t{1} << v;
+    }
+    t.set_bit(out, f.bit(in));
+  }
+  return t;
+}
+
+/// A random injective map of `from` variables into `to` variables.
+std::vector<int> random_var_map(Rng& rng, int from, int to) {
+  std::vector<int> targets(static_cast<std::size_t>(to));
+  for (int v = 0; v < to; ++v) targets[static_cast<std::size_t>(v)] = v;
+  for (int v = to - 1; v > 0; --v) {
+    std::swap(targets[static_cast<std::size_t>(v)],
+              targets[static_cast<std::size_t>(rng.next_in(0, v))]);
+  }
+  targets.resize(static_cast<std::size_t>(from));
+  return targets;
+}
+
+TEST(TruthTable, RemapMatchesPerBitReferenceOnPermutations) {
+  Rng rng(11);
+  for (int n : {0, 1, 2, 5, 6, 7, 8, 11, 16}) {
+    for (int trial = 0; trial < (n == 16 ? 2 : 12); ++trial) {
+      const TruthTable f = random_table(rng, n);
+      const std::vector<int> map = random_var_map(rng, n, n);
+      EXPECT_EQ(f.remap(n, map), naive_remap(f, n, map)) << "n=" << n << " trial=" << trial;
+    }
+  }
+}
+
+TEST(TruthTable, RemapMatchesPerBitReferenceWhenWidening) {
+  Rng rng(12);
+  const std::pair<int, int> arities[] = {{0, 0}, {0, 1}, {0, 6}, {0, 7}, {1, 6}, {1, 7},
+                                         {3, 9}, {6, 7}, {6, 16}, {7, 12}, {10, 16}};
+  for (const auto& [from, to] : arities) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const TruthTable f = random_table(rng, from);
+      const std::vector<int> map = random_var_map(rng, from, to);
+      EXPECT_EQ(f.remap(to, map), naive_remap(f, to, map))
+          << "from=" << from << " to=" << to << " trial=" << trial;
+    }
+  }
+  // From arity 0 with an empty map: the constant, replicated.
+  for (int n : {0, 1, 6, 7, 16}) {
+    EXPECT_TRUE(TruthTable::constant(0, true).remap(n, {}).is_const1()) << n;
+    EXPECT_TRUE(TruthTable::constant(0, false).remap(n, {}).is_const0()) << n;
+  }
+}
+
+TEST(TruthTable, RemapRejectsBadMaps) {
+  const TruthTable f = TruthTable::var(2, 0);
+  EXPECT_THROW((void)f.remap(2, std::vector<int>{0, 0}), Error);
+  EXPECT_THROW((void)f.remap(2, std::vector<int>{0, 2}), Error);
+  EXPECT_THROW((void)f.remap(2, std::vector<int>{0}), Error);
+}
+
 TEST(TruthTable, ComposeAppliesInnerFunctions) {
   // g(u, v) = u AND v; u = x0 XOR x1, v = x2 => overall (x0^x1) & x2.
   const TruthTable g = tt_and(2);
