@@ -2,7 +2,8 @@
 // truth-table composition, BDD construction and column multiplicity, the
 // Dinic K-cut test, Roth–Karp decomposition, the expanded-circuit build and
 // the sequential simulator. These are the inner loops that the per-sweep
-// label computation cost (and hence every table) rests on.
+// label computation cost (and hence every table) rests on. BM_PipelineRetime
+// times the pipelining + retiming post-process on one mapped network.
 //
 // BM_Flow* additionally time the four public flows end to end and attach
 // the per-stage StageMetrics breakdown as counters; see the comment above
@@ -10,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <optional>
@@ -27,6 +29,7 @@
 #include "decomp/roth_karp.hpp"
 #include "graph/max_flow.hpp"
 #include "netlist/blif.hpp"
+#include "retime/pipeline.hpp"
 #include "service/batch_runner.hpp"
 #include "sim/simulator.hpp"
 #include "workloads/generator.hpp"
@@ -276,6 +279,11 @@ void set_flow_counters(benchmark::State& state, const FlowResult& r) {
   state.counters["dirty_rounds"] =
       benchmark::Counter(static_cast<double>(r.stats.dirty_rounds));
   state.counters["flow_seconds"] = benchmark::Counter(r.seconds);
+  for (const char* counter : {"retime_configs", "retime_solves", "retime_bf_rounds"}) {
+    std::int64_t total = 0;
+    for (const StageMetric& s : r.stage_metrics.stages) total += s.counter(counter);
+    state.counters[counter] = benchmark::Counter(static_cast<double>(total));
+  }
 }
 
 void BM_FlowTurboMap(benchmark::State& state) {
@@ -325,6 +333,36 @@ void BM_FlowTurboMapPeriod(benchmark::State& state) {
   set_flow_counters(state, r);
 }
 BENCHMARK(BM_FlowTurboMapPeriod)->Unit(benchmark::kMillisecond);
+
+// Pipelining + retiming of the TurboMap-mapped scf (one W/D table serves the
+// fallback search and every (target, depth) configuration). The counters
+// are deterministic: the result, the configurations tried, the constraint
+// solves and their Bellman–Ford relaxation rounds. Emit machine-readable
+// results with
+//   micro_bench --benchmark_filter=BM_PipelineRetime --benchmark_out=BENCH_retime.json
+//               --benchmark_out_format=json
+void BM_PipelineRetime(benchmark::State& state) {
+  const auto specs = table1_suite();
+  const auto scf = std::find_if(specs.begin(), specs.end(),
+                                [](const BenchmarkSpec& s) { return s.name == "scf"; });
+  TS_CHECK(scf != specs.end(), "scf missing from the Table-1 suite");
+  FlowOptions opt;
+  opt.num_threads = 1;
+  opt.pipeline = false;
+  const Circuit mapped = run_turbomap(generate_fsm_circuit(*scf), opt).mapped;
+  PipelineResult p;
+  for (auto _ : state) {
+    Circuit c = mapped;
+    p = pipeline_and_retime(c);
+    benchmark::DoNotOptimize(c);
+  }
+  state.counters["period"] = benchmark::Counter(static_cast<double>(p.period));
+  state.counters["stages"] = benchmark::Counter(p.stages);
+  state.counters["configs"] = benchmark::Counter(static_cast<double>(p.configs_tried));
+  state.counters["solves"] = benchmark::Counter(static_cast<double>(p.solves));
+  state.counters["bf_rounds"] = benchmark::Counter(static_cast<double>(p.bf_rounds));
+}
+BENCHMARK(BM_PipelineRetime)->Unit(benchmark::kMillisecond);
 
 // Portfolio race over the registry engines, sequential (Arg 0: engines run
 // in list order, dominated engines are skipped) vs concurrent (Arg 1: lanes

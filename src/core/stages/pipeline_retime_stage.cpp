@@ -22,6 +22,8 @@ void PipelineRetimeStage::run(FlowContext& ctx) {
       result.pipeline_stages = p.stages;
       result.status = combine_status(result.status, p.status);
       ctx.count("retime_configs", p.configs_tried);
+      ctx.count("retime_solves", p.solves);
+      ctx.count("retime_bf_rounds", p.bf_rounds);
       ctx.count("pipeline_stages", p.stages);
     }
     result.mapped = std::move(mapped);

@@ -4,6 +4,7 @@
 
 #include "base/check.hpp"
 #include "graph/bellman_ford.hpp"
+#include "retime/howard.hpp"
 
 namespace turbosyn {
 namespace {
@@ -44,36 +45,22 @@ bool has_cycle_above_ratio(const Digraph& g, std::span<const int> delay, const R
 
 CycleRatioResult max_delay_to_register_ratio(const Digraph& g, std::span<const int> delay) {
   TS_CHECK(static_cast<int>(delay.size()) == g.num_nodes(), "one delay per node required");
-  CycleRatioResult result;
-
-  // Integer binary search on floor(ratio) to cut down improvement rounds.
-  std::int64_t total_delay = 0;
-  for (const int d : delay) total_delay += d;
-  std::int64_t lo = 0;                    // ratio > lo has a witness (once found)
-  std::int64_t hi = total_delay + 1;      // ratio > hi never
-  if (!cycle_above(g, delay, Rational(0, 1)).found) return result;  // no positive-delay cycle
-  while (lo + 1 < hi) {
-    const std::int64_t mid = lo + (hi - lo) / 2;
-    if (cycle_above(g, delay, Rational(mid, 1)).found) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-
-  // Ratio improvement from p/q = lo upward.
-  Rational current(lo, 1);
-  PositiveCycle witness = cycle_above(g, delay, current);
+  // Howard's ratio is that of a real cycle, so a lower bound. Ratio
+  // improvement from there certifies it with one Bellman–Ford run, or
+  // climbs cycle by cycle to the exact maximum if policy iteration stopped
+  // short.
+  CycleRatioResult result = max_cycle_ratio_howard(g, delay);
+  if (result.ratio == Rational(0)) result.critical_cycle.clear();
+  PositiveCycle witness = cycle_above(g, delay, result.ratio);
   while (witness.found) {
     const CycleMeasure m = measure(g, delay, witness.edges);
     TS_CHECK(m.weight_sum > 0,
              "combinational loop (positive delay, zero registers): MDR ratio is unbounded");
     const Rational candidate(m.delay_sum, m.weight_sum);
-    TS_ASSERT(candidate > current);
+    TS_ASSERT(candidate > result.ratio);
     result.ratio = candidate;
     result.critical_cycle = witness.edges;
-    current = candidate;
-    witness = cycle_above(g, delay, current);
+    witness = cycle_above(g, delay, result.ratio);
   }
   return result;
 }

@@ -5,10 +5,11 @@
 // Papaefthymiou's theory (paper refs [16, 22]) says this ratio is the only
 // lower bound on the clock period once both retiming and pipelining are
 // allowed — TurboSYN therefore minimizes the MDR ratio of the mapped
-// network. The computation is exact over rationals: an integer binary search
-// narrows the range, then a cycle-ratio-improvement loop (find a positive
-// cycle for the candidate ratio via Bellman–Ford on integer costs
-// q*d(v) - p*w(e), jump to that cycle's exact ratio) converges to the max.
+// network. The computation is exact over rationals: Howard's policy
+// iteration (howard.hpp) proposes a cycle, then a cycle-ratio-improvement
+// loop (find a positive cycle for the candidate ratio via Bellman–Ford on
+// integer costs q*d(v) - p*w(e), jump to that cycle's exact ratio) certifies
+// it with one Bellman–Ford run or climbs to the max if Howard stopped short.
 
 #include <span>
 #include <vector>

@@ -1,10 +1,10 @@
 #pragma once
 // Howard's policy-iteration algorithm for the maximum cycle ratio.
 //
-// An independent engine for the same quantity cycle_ratio.hpp computes by
-// binary search + Bellman–Ford: max over cycles of delay(C)/registers(C).
-// Policy iteration converges in few iterations in practice and serves both
-// as a faster alternative on large graphs and as a cross-check in tests.
+// Max over cycles of delay(C)/registers(C). Policy iteration converges in
+// few iterations in practice; max_delay_to_register_ratio (cycle_ratio.hpp)
+// starts from its answer and certifies it by Bellman–Ford, and the auditor
+// uses it on its own to recompute a claimed MDR.
 //
 // Formulation: edge value val(e) = delay(head(e)), edge time tau(e) = w(e).
 // We seek the maximum of sum(val)/sum(tau) over cycles with sum(tau) > 0.

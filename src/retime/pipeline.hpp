@@ -27,14 +27,21 @@ struct PipelineResult {
   /// (target period, depth) configurations tested by feasible retiming —
   /// the search's work metric, surfaced through trace/StageMetrics.
   std::int64_t configs_tried = 0;
+  /// Constraint solves (fallback search and configurations) and the
+  /// Bellman–Ford relaxation rounds they took; both 0 above
+  /// kExactRetimingLimit, where FEAS runs instead.
+  std::int64_t solves = 0;
+  std::int64_t bf_rounds = 0;
   /// kOk unless the search was stopped by `budget` before it finished; the
   /// result is then the always-valid no-pipelining fallback.
   Status status = Status::kOk;
 };
 
-/// Minimizes the clock period using input pipelining + retiming. Searches
-/// target periods from max(1, ceil(MDR)) upward and pipeline depths up to
-/// max_stages; mutates the circuit to the winning configuration. `budget`
+/// Minimizes the clock period using input pipelining + retiming. Finds the
+/// no-pipelining minimum period first (searched from ceil(MDR)), then tries
+/// target periods below it from max(1, ceil(MDR)) upward with pipeline
+/// depths 1, 2, 4, ... up to max_stages, all against one W/D table; mutates
+/// the circuit to the winning configuration. `budget`
 /// (optional) is polled between candidate configurations: once it fires, the
 /// search stops and the plain min-period retiming fallback is applied.
 PipelineResult pipeline_and_retime(Circuit& c, int max_stages = 64,

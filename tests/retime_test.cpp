@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "base/check.hpp"
 #include "base/rng.hpp"
+#include "core/flows.hpp"
 #include "netlist/gates.hpp"
 #include "retime/cycle_ratio.hpp"
 #include "retime/pipeline.hpp"
 #include "retime/retiming.hpp"
 #include "sim/simulator.hpp"
+#include "verify/audit.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/samples.hpp"
 
@@ -88,6 +93,176 @@ TEST(Retiming, MinPeriodNeverExceedsInitialPeriod) {
     EXPECT_LE(after, before) << spec.name;
     EXPECT_EQ(after, circuit_clock_period(c)) << spec.name;
   }
+}
+
+// ---- W/D table vs. independent references ----
+
+std::vector<int> delays_of(const Circuit& c) {
+  std::vector<int> delay(static_cast<std::size_t>(c.num_nodes()));
+  for (NodeId v = 0; v < c.num_nodes(); ++v) delay[static_cast<std::size_t>(v)] = c.delay(v);
+  return delay;
+}
+
+std::vector<NodeId> io_of(const Circuit& c) {
+  std::vector<NodeId> pinned(c.pis().begin(), c.pis().end());
+  pinned.insert(pinned.end(), c.pos().begin(), c.pos().end());
+  return pinned;
+}
+
+/// Textbook Leiserson–Saxe feasibility, sharing no code with the library:
+/// W/D by Floyd–Warshall on lexicographic (registers, -delay) weights, then
+/// Bellman–Ford over an explicit constraint list. Answers yes/no only.
+bool reference_feasible(const Digraph& g, std::span<const int> delay, std::int64_t c,
+                        std::span<const NodeId> pinned) {
+  const std::size_t n = static_cast<std::size_t>(g.num_nodes());
+  for (const int d : delay) {
+    if (d > c) return false;
+  }
+  constexpr std::int64_t kInf = std::int64_t{1} << 40;
+  // path[u][v] = (W, -(D - delay(u))) over paths of at least one edge.
+  std::vector<std::vector<std::pair<std::int64_t, std::int64_t>>> path(
+      n, std::vector<std::pair<std::int64_t, std::int64_t>>(n, {kInf, 0}));
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const auto& edge = g.edge(e);
+    auto& best = path[static_cast<std::size_t>(edge.from)][static_cast<std::size_t>(edge.to)];
+    best = std::min(best, {edge.weight, -delay[static_cast<std::size_t>(edge.to)]});
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t u = 0; u < n; ++u) {
+      if (path[u][k].first >= kInf) continue;
+      for (std::size_t v = 0; v < n; ++v) {
+        if (path[k][v].first >= kInf) continue;
+        path[u][v] = std::min(path[u][v], {path[u][k].first + path[k][v].first,
+                                           path[u][k].second + path[k][v].second});
+      }
+    }
+  }
+  struct Constraint {
+    std::size_t u, v;
+    std::int64_t bound;  // r(u) - r(v) <= bound
+  };
+  std::vector<Constraint> constraints;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const auto& edge = g.edge(e);
+    constraints.push_back({static_cast<std::size_t>(edge.from), static_cast<std::size_t>(edge.to),
+                           edge.weight});
+  }
+  for (std::size_t i = 1; i < pinned.size(); ++i) {
+    const auto a = static_cast<std::size_t>(pinned[0]);
+    const auto b = static_cast<std::size_t>(pinned[i]);
+    constraints.push_back({a, b, 0});
+    constraints.push_back({b, a, 0});
+  }
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t v = 0; v < n; ++v) {
+      if (path[u][v].first < kInf && delay[u] - path[u][v].second > c) {
+        constraints.push_back({u, v, path[u][v].first - 1});
+      }
+    }
+  }
+  std::vector<std::int64_t> r(n, 0);
+  for (std::size_t round = 0; round <= n; ++round) {
+    bool relaxed = false;
+    for (const Constraint& k : constraints) {
+      if (r[k.v] + k.bound < r[k.u]) {
+        r[k.u] = r[k.v] + k.bound;
+        relaxed = true;
+      }
+    }
+    if (!relaxed) return true;
+  }
+  return false;
+}
+
+/// For every period from ceil(MDR) to the clock period and every pipeline
+/// depth s, one RetimingTable must agree with feasible_retiming on a freshly
+/// pipelined digraph (same lags) and with the textbook reference, and every
+/// lag vector must be legal and meet the period on the pipelined circuit.
+void check_table_against_oracles(const Circuit& c) {
+  const Digraph g = c.to_digraph();
+  const std::vector<int> delay = delays_of(c);
+  const std::vector<NodeId> pinned = io_of(c);
+  const std::int64_t lo = std::max<std::int64_t>(1, circuit_mdr(c).ratio.ceil());
+  const std::int64_t hi = circuit_clock_period(c);
+  RetimingTable table(g, delay, pinned, lo, c.pis(), c.pos());
+  int feasible_answers = 0;
+  for (const int s : {0, 1, 2, 4, 8}) {
+    Circuit piped = c;
+    pipeline_inputs(piped, s);
+    pipeline_outputs(piped, s);
+    const Digraph pg = piped.to_digraph();
+    for (std::int64_t period = lo; period <= hi; ++period) {
+      SCOPED_TRACE("s=" + std::to_string(s) + " c=" + std::to_string(period));
+      const auto from_table = table.solve(period, s);
+      const auto fresh = feasible_retiming(pg, delay, period, pinned);
+      ASSERT_EQ(from_table.has_value(), fresh.has_value());
+      EXPECT_EQ(from_table.has_value(), reference_feasible(pg, delay, period, pinned));
+      if (!from_table.has_value()) continue;
+      ++feasible_answers;
+      EXPECT_EQ(*from_table, *fresh);
+      EXPECT_EQ(audit_retiming_legality(piped, *from_table, pinned), std::nullopt);
+      Circuit retimed = piped;
+      apply_retiming(retimed, *from_table);
+      EXPECT_LE(circuit_clock_period(retimed), period);
+    }
+  }
+  EXPECT_GT(feasible_answers, 0);  // the clock period itself is always feasible
+  EXPECT_GT(table.solves(), 0);
+  EXPECT_GE(table.bf_rounds(), table.solves());
+}
+
+TEST(RetimingTable, AgreesWithFreshSolvesOnTinySuite) {
+  for (const auto& spec : tiny_suite()) {
+    SCOPED_TRACE(spec.name);
+    check_table_against_oracles(generate_fsm_circuit(spec));
+  }
+}
+
+TEST(RetimingTable, AgreesWithFreshSolvesOnMappedTable1Circuits) {
+  FlowOptions opt;
+  opt.num_threads = 1;
+  opt.pipeline = false;
+  for (const auto& spec : table1_suite()) {
+    if (spec.name != "bbara" && spec.name != "s298" && spec.name != "dk16") continue;
+    SCOPED_TRACE(spec.name);
+    check_table_against_oracles(run_turbomap(generate_fsm_circuit(spec), opt).mapped);
+  }
+}
+
+TEST(RetimingTable, InfeasiblePeriodStopsAtTheFirstNegativeCycle) {
+  // Ring of 4 gates, 2 registers: MDR = 2, so period 1 is infeasible and a
+  // negative cycle shows up in the parent graph long before round |V| + 1.
+  const Circuit c = ring_circuit(4, 2);
+  const Digraph g = c.to_digraph();
+  const std::vector<int> delay = delays_of(c);
+  const std::vector<NodeId> pinned = io_of(c);
+  RetimingTable table(g, delay, pinned, 1);
+  EXPECT_FALSE(table.solve(1).has_value());
+  EXPECT_EQ(table.solves(), 1);
+  EXPECT_LT(table.bf_rounds(), g.num_nodes() + 1);
+  EXPECT_TRUE(table.solve(2).has_value());
+}
+
+TEST(RetimingTable, RejectsPeriodsBelowItsFloorAndBadPipelineEnds) {
+  const Circuit c = ring_circuit(4, 2);
+  const Digraph g = c.to_digraph();
+  const std::vector<int> delay = delays_of(c);
+  const std::vector<NodeId> pinned = io_of(c);
+  RetimingTable table(g, delay, pinned, 3);
+  EXPECT_FALSE(table.solve(0).has_value());  // below the single-node delay
+  EXPECT_THROW((void)table.solve(2), Error);
+  EXPECT_THROW((void)table.solve(3, -1), Error);
+  // A PO has a fanin, so it cannot be a pipelined input; the ring's PI has
+  // fanouts, so it cannot be a pipelined output.
+  EXPECT_THROW(RetimingTable(g, delay, pinned, 3, c.pos(), {}), Error);
+  EXPECT_THROW(RetimingTable(g, delay, pinned, 3, {}, c.pis()), Error);
+}
+
+TEST(Pipelining, ReportsSolveCounters) {
+  Circuit c = generate_fsm_circuit(tiny_suite()[0]);
+  const PipelineResult p = pipeline_and_retime(c);
+  EXPECT_GT(p.solves, 0);
+  EXPECT_GE(p.bf_rounds, p.solves);
 }
 
 // ---- MDR ratio ----
