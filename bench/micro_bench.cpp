@@ -182,20 +182,20 @@ void BM_LabelComputationTurboMap(benchmark::State& state) {
 }
 BENCHMARK(BM_LabelComputationTurboMap);
 
-// End-to-end labeling at 1 / 2 / all threads (Arg = num_threads, 0 = every
-// core). Emit machine-readable results with
+// End-to-end labeling of one probe. The fixed Arg(1) on this and the
+// WarmProbe / ScalingCircuit benches keeps the names of the committed
+// baseline entries. Emit machine-readable results with
 //   micro_bench --benchmark_filter=BM_Label --benchmark_out=BENCH_labeling.json
 //               --benchmark_out_format=json
 void BM_LabelEngineThreads(benchmark::State& state) {
   const Circuit c = generate_fsm_circuit(table1_suite()[0]);
   LabelOptions lo;
-  lo.num_threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     LabelEngine engine(c, lo);
     benchmark::DoNotOptimize(engine.compute(2));
   }
 }
-BENCHMARK(BM_LabelEngineThreads)->Arg(1)->Arg(2)->Arg(0)->Unit(benchmark::kMillisecond)
+BENCHMARK(BM_LabelEngineThreads)->Arg(1)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();
 
 // The same probe through one warm engine: the φ-search steady state, where
@@ -203,14 +203,13 @@ BENCHMARK(BM_LabelEngineThreads)->Arg(1)->Arg(2)->Arg(0)->Unit(benchmark::kMilli
 void BM_LabelEngineWarmProbe(benchmark::State& state) {
   const Circuit c = generate_fsm_circuit(table1_suite()[0]);
   LabelOptions lo;
-  lo.num_threads = static_cast<int>(state.range(0));
   LabelEngine engine(c, lo);
   (void)engine.compute(3);  // seed the warm-start map
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.compute(2));
   }
 }
-BENCHMARK(BM_LabelEngineWarmProbe)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LabelEngineWarmProbe)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // A descending multi-probe suite through one warm engine — the φ-search
 // pattern the dirty-set incremental path accelerates (each probe seeds from
@@ -221,7 +220,6 @@ BENCHMARK(BM_LabelEngineWarmProbe)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond
 void BM_LabelEngineDescendingProbes(benchmark::State& state) {
   const Circuit c = generate_fsm_circuit(table1_suite()[0]);
   LabelOptions lo;
-  lo.num_threads = 1;
   lo.incremental = state.range(0) != 0;
   LabelStats stats;
   for (auto _ : state) {
@@ -243,19 +241,18 @@ void BM_LabelEngineDescendingProbes(benchmark::State& state) {
 }
 BENCHMARK(BM_LabelEngineDescendingProbes)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
-// Scaling-suite labeling: the large-circuit regime the parallel engine
-// targets (one infeasible + one feasible probe, as a binary search sees).
+// Scaling-suite labeling: the large-circuit regime (one infeasible + one
+// feasible probe, as a binary search sees).
 void BM_LabelEngineScalingCircuit(benchmark::State& state) {
   const Circuit c = generate_fsm_circuit(scaling_suite()[0]);
   LabelOptions lo;
-  lo.num_threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     LabelEngine engine(c, lo);
     benchmark::DoNotOptimize(engine.compute(1));
     benchmark::DoNotOptimize(engine.compute(2));
   }
 }
-BENCHMARK(BM_LabelEngineScalingCircuit)->Arg(1)->Arg(2)->Arg(0)
+BENCHMARK(BM_LabelEngineScalingCircuit)->Arg(1)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
 
 // End-to-end flow benchmarks with the per-stage breakdown attached as
@@ -347,7 +344,6 @@ void BM_PipelineRetime(benchmark::State& state) {
                                 [](const BenchmarkSpec& s) { return s.name == "scf"; });
   TS_CHECK(scf != specs.end(), "scf missing from the Table-1 suite");
   FlowOptions opt;
-  opt.num_threads = 1;
   opt.pipeline = false;
   const Circuit mapped = run_turbomap(generate_fsm_circuit(*scf), opt).mapped;
   PipelineResult p;

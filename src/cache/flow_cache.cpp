@@ -297,7 +297,7 @@ std::optional<ParsedEntry> parse_entry_file(const std::string& path,
 namespace {
 
 /// The result-relevant caller options, shared by both key makers. Excludes
-/// num_threads / budgets / observability knobs (see make_cache_key docs).
+/// budgets and observability knobs (see make_cache_key docs).
 void append_option_fields(std::ostringstream& os, const FlowOptions& options) {
   os << " k " << options.k << " cmax " << options.cmax << " height_span "
      << options.height_span << " pld " << options.use_pld << " bdd " << options.use_bdd

@@ -33,7 +33,7 @@
 // store, the open-addressing (node, w) index, the BFS worklist and the whole
 // Dinic state — so the label computation's per-gate cut test allocates
 // nothing in steady state. CutScratch bundles one such instance as the
-// per-thread arena of the parallel label engine.
+// label engine's scratch arena.
 
 #include <cstdint>
 #include <functional>
@@ -184,7 +184,7 @@ class ExpandedNetwork {
   std::vector<bool> cut_side_;
 };
 
-/// Per-thread scratch arena for the label-computation hot path: a reusable
+/// Scratch arena for the label-computation hot path: a reusable
 /// ExpandedNetwork (node store, hash index, worklists, Dinic state) plus the
 /// epoch-cleared buffers of the PLD isolation check. Thread one through
 /// label_update()/realize_node() to make repeated cut tests allocation-free;

@@ -56,11 +56,13 @@ struct FlowOptions {
   bool dedupe = true;            // structural LUT deduplication
   bool pack = true;              // mpack/flowpack-style packing
   bool pipeline = true;          // post-process with pipelining + retiming
-  int num_threads = 0;           // label engine: 0 = hardware, 1 = sequential
+  /// Has no effect: the label engine runs one sequential sweep. Kept only
+  /// so existing callers that assign it still compile.
+  int num_threads = 0;
   /// Dirty-set incremental label recomputation for warm-seeded plain-update
   /// probes (see LabelOptions::incremental). Default on; converged labels
   /// and all mapped results are bit-identical either way, so this is
-  /// excluded from the flow-cache key (like num_threads).
+  /// excluded from the flow-cache key.
   bool incremental = true;
   /// Optional near-miss warm seed applied to the plain-mode search engine
   /// (never a certificate — see WarmImport). Shared, not owned; excluded

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <thread>
 
 #include "base/check.hpp"
-#include "base/thread_pool.hpp"
 #include "graph/scc.hpp"
 
 namespace turbosyn {
@@ -292,9 +290,6 @@ LabelEngine::LabelEngine(const Circuit& c, const LabelOptions& options)
   TS_CHECK(c.is_k_bounded(options.k), "label computation requires a k-bounded circuit");
   const std::size_t n = static_cast<std::size_t>(c.num_nodes());
   cache_.per_node.resize(n);
-  // Prime the circuit's CSR topology cache while still single-threaded: the
-  // lazy rebuild is not thread-safe, and every per-probe path reads it.
-  c.topology();
 
   const Digraph g = c.to_digraph();
   scc_ = strongly_connected_components(g);
@@ -302,57 +297,23 @@ LabelEngine::LabelEngine(const Circuit& c, const LabelOptions& options)
   // Sweep order: zero-weight topological position. Updates then propagate
   // through a whole combinational stretch in a single sweep, so each sweep
   // advances label information by one register lap around a loop.
-  topo_pos_.assign(n, 0);
-  std::vector<int> level(n, 0);  // zero-weight longest-path depth
-  {
-    const std::vector<NodeId> order =
-        topological_order(g, [&](EdgeId e) { return g.edge(e).weight > 0; });
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      topo_pos_[static_cast<std::size_t>(order[i])] = static_cast<int>(i);
-    }
-    for (const NodeId v : order) {
-      for (const EdgeId e : c.fanin_edges(v)) {
-        const auto& edge = c.edge(e);
-        if (edge.weight == 0) {
-          level[static_cast<std::size_t>(v)] =
-              std::max(level[static_cast<std::size_t>(v)],
-                       level[static_cast<std::size_t>(edge.from)] + 1);
-        }
-      }
-    }
+  std::vector<int> topo_pos(n, 0);
+  const std::vector<NodeId> order =
+      topological_order(g, [&](EdgeId e) { return g.edge(e).weight > 0; });
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    topo_pos[static_cast<std::size_t>(order[i])] = static_cast<int>(i);
   }
 
-  // Per-component plans. Gates of one zero-weight level never depend on each
-  // other through a zero-weight edge, so they form the parallel batches;
-  // levels run in ascending order, which preserves the sequential engine's
-  // within-sweep propagation along combinational stretches.
   const int num_comps = static_cast<int>(scc_.components.size());
-  plans_.resize(static_cast<std::size_t>(num_comps));
+  comp_gates_.resize(static_cast<std::size_t>(num_comps));
   for (int comp = 0; comp < num_comps; ++comp) {
-    CompPlan& plan = plans_[static_cast<std::size_t>(comp)];
+    std::vector<NodeId>& gates = comp_gates_[static_cast<std::size_t>(comp)];
     for (const NodeId v : scc_.components[static_cast<std::size_t>(comp)]) {
-      if (c.is_gate(v) && !c.fanin_edges(v).empty()) plan.gates.push_back(v);
+      if (c.is_gate(v) && !c.fanin_edges(v).empty()) gates.push_back(v);
     }
-    std::sort(plan.gates.begin(), plan.gates.end(), [&](NodeId a, NodeId b) {
-      return topo_pos_[static_cast<std::size_t>(a)] < topo_pos_[static_cast<std::size_t>(b)];
+    std::sort(gates.begin(), gates.end(), [&](NodeId a, NodeId b) {
+      return topo_pos[static_cast<std::size_t>(a)] < topo_pos[static_cast<std::size_t>(b)];
     });
-    plan.batch_gates = plan.gates;
-    std::sort(plan.batch_gates.begin(), plan.batch_gates.end(), [&](NodeId a, NodeId b) {
-      const int la = level[static_cast<std::size_t>(a)];
-      const int lb = level[static_cast<std::size_t>(b)];
-      if (la != lb) return la < lb;
-      return topo_pos_[static_cast<std::size_t>(a)] < topo_pos_[static_cast<std::size_t>(b)];
-    });
-    for (std::size_t i = 0; i < plan.batch_gates.size();) {
-      std::size_t j = i + 1;
-      const int li = level[static_cast<std::size_t>(plan.batch_gates[i])];
-      while (j < plan.batch_gates.size() &&
-             level[static_cast<std::size_t>(plan.batch_gates[j])] == li) {
-        ++j;
-      }
-      plan.batches.push_back(Batch{static_cast<int>(i), static_cast<int>(j)});
-      i = j;
-    }
   }
 
   // φ-sensitive gates: a probe at a new φ can only move the fanin bound of a
@@ -361,7 +322,7 @@ LabelEngine::LabelEngine(const Circuit& c, const LabelOptions& options)
   // dirty only transitively, or is caught by the verification sweep.
   phi_sensitive_.resize(static_cast<std::size_t>(num_comps));
   for (int comp = 0; comp < num_comps; ++comp) {
-    for (const NodeId v : plans_[static_cast<std::size_t>(comp)].gates) {
+    for (const NodeId v : comp_gates_[static_cast<std::size_t>(comp)]) {
       for (const EdgeId e : c.fanin_edges(v)) {
         if (c.edge(e).weight > 0) {
           phi_sensitive_[static_cast<std::size_t>(comp)].push_back(v);
@@ -379,55 +340,6 @@ LabelEngine::LabelEngine(const Circuit& c, const LabelOptions& options)
   eval_stamp_.assign(n, 0);
   raise_stamp_.assign(n, 0);
   read_mark_.assign(n, 0);
-
-  // Condensation wavefronts by longest-path depth: every condensation edge
-  // strictly increases depth, so components of one wave share no path and
-  // all their external fanins converged in earlier waves. Component indices
-  // are topologically ordered, so one ascending pass computes the depths.
-  std::vector<int> depth(static_cast<std::size_t>(num_comps), 0);
-  int max_depth = 0;
-  for (int comp = 0; comp < num_comps; ++comp) {
-    for (const NodeId v : scc_.components[static_cast<std::size_t>(comp)]) {
-      for (const EdgeId e : c.fanin_edges(v)) {
-        const int cu = scc_.component_of[static_cast<std::size_t>(c.edge(e).from)];
-        if (cu != comp) {
-          depth[static_cast<std::size_t>(comp)] =
-              std::max(depth[static_cast<std::size_t>(comp)],
-                       depth[static_cast<std::size_t>(cu)] + 1);
-        }
-      }
-    }
-    max_depth = std::max(max_depth, depth[static_cast<std::size_t>(comp)]);
-  }
-  waves_.assign(static_cast<std::size_t>(max_depth) + 1, {});
-  for (int comp = 0; comp < num_comps; ++comp) {
-    if (!plans_[static_cast<std::size_t>(comp)].gates.empty()) {
-      waves_[static_cast<std::size_t>(depth[static_cast<std::size_t>(comp)])].push_back(comp);
-    }
-  }
-  std::erase_if(waves_, [](const std::vector<int>& w) { return w.empty(); });
-
-  // Effective concurrency and per-lane arenas. num_threads == 1 never touches
-  // the pool (and is the byte-exact legacy sweep order).
-  if (options_.num_threads == 1) {
-    threads_ = 1;
-    caller_lane_ = 0;
-    scratch_.resize(1);
-    lane_stats_.resize(1);
-  } else {
-    ThreadPool& pool = ThreadPool::global();
-    const int lanes = pool.num_workers() + 1;
-    // num_threads == 0 targets the hardware concurrency (so a single-core
-    // host defaults to the sequential path even though the pool always keeps
-    // one worker); an explicit count is honored up to the pool's lanes.
-    const int requested = options_.num_threads <= 0
-                              ? static_cast<int>(std::thread::hardware_concurrency())
-                              : options_.num_threads;
-    threads_ = std::max(1, std::min(requested, lanes));
-    caller_lane_ = std::min(threads_ - 1, pool.num_workers());
-    scratch_.resize(static_cast<std::size_t>(lanes));
-    lane_stats_.resize(static_cast<std::size_t>(lanes));
-  }
 }
 
 void LabelStats::accumulate(const LabelStats& from) {
@@ -447,17 +359,10 @@ void LabelStats::accumulate(const LabelStats& from) {
                         from.degraded_nodes.end());
 }
 
-void LabelEngine::merge_worker_stats(LabelStats& into) {
-  for (LabelStats& s : lane_stats_) {
-    into.accumulate(s);
-    s = LabelStats{};
-  }
-}
-
 int LabelEngine::eval_update_recorded(NodeId v, int phi, std::span<const int> labels,
-                                      LabelStats& stats, CutScratch& scratch) {
+                                      LabelStats& stats) {
   const std::int64_t tests_before = stats.cut_tests;
-  const int updated = label_update(c_, labels, phi, v, options_, stats, &cache_, &scratch);
+  const int updated = label_update(c_, labels, phi, v, options_, stats, &cache_, &scratch_);
   eval_stamp_[static_cast<std::size_t>(v)] = ++meta_clock_;
   std::vector<NodeId>& reads = cone_reads_[static_cast<std::size_t>(v)];
   if (stats.cut_tests == tests_before) {
@@ -475,7 +380,7 @@ int LabelEngine::eval_update_recorded(NodeId v, int phi, std::span<const int> la
   // copies, and lowering φ can only flip allowed -> mandatory, first at
   // φ < (l(u)+1-H)/w — record the largest such threshold as the gate's
   // φ-floor: above it, the identical network yields the identical verdict.
-  const ExpandedNetwork& net = scratch.net;
+  const ExpandedNetwork& net = scratch_.net;
   reads.clear();
   const std::int64_t height = fanin_bound(c_, labels, phi, v);  // the query's H
   int phi_floor = 0;
@@ -515,13 +420,12 @@ bool LabelEngine::cone_reads_fresh(NodeId v) const {
 LabelEngine::CompOutcome LabelEngine::process_comp_sequential(int comp, int phi,
                                                               std::vector<int>& labels,
                                                               LabelStats& stats,
-                                                              CutScratch& scratch,
                                                               std::int64_t sweep_budget,
                                                               bool record_meta) {
-  const CompPlan& plan = plans_[static_cast<std::size_t>(comp)];
+  const std::vector<NodeId>& gates = comp_gates_[static_cast<std::size_t>(comp)];
   // PLD: the theorem's 6n bound with n = SCC size. Without PLD: the prior
   // criterion of n^2 iterations with n = circuit size (paper Section 4).
-  const std::int64_t n = static_cast<std::int64_t>(plan.gates.size());
+  const std::int64_t n = static_cast<std::int64_t>(gates.size());
   const std::int64_t total = std::max<std::int64_t>(2, c_.num_gates());
   const std::int64_t criterion_cap = options_.use_pld ? 6 * n + 2 : total * total;
   const bool budget_binds = sweep_budget > 0 && sweep_budget < criterion_cap;
@@ -531,11 +435,11 @@ LabelEngine::CompOutcome LabelEngine::process_comp_sequential(int comp, int phi,
   for (std::int64_t sweep = 0;; ++sweep) {
     ++stats.sweeps;
     bool changed = false;
-    for (const NodeId v : plan.gates) {
+    for (const NodeId v : gates) {
       if (options_.budget.interrupted()) return CompOutcome::kInterrupted;
       const int updated =
-          record_meta ? eval_update_recorded(v, phi, labels, stats, scratch)
-                      : label_update(c_, labels, phi, v, options_, stats, &cache_, &scratch);
+          record_meta ? eval_update_recorded(v, phi, labels, stats)
+                      : label_update(c_, labels, phi, v, options_, stats, &cache_, &scratch_);
       if (updated > labels[static_cast<std::size_t>(v)]) {
         labels[static_cast<std::size_t>(v)] = updated;
         if (record_meta) raise_stamp_[static_cast<std::size_t>(v)] = ++meta_clock_;
@@ -549,7 +453,7 @@ LabelEngine::CompOutcome LabelEngine::process_comp_sequential(int comp, int phi,
       // beyond that certifies divergence regardless of the iteration cap.
       // Kept inside the PLD package so the no-PLD mode stays a faithful
       // n^2-criterion baseline for the ablation benchmark.
-      for (const NodeId v : plan.gates) {
+      for (const NodeId v : gates) {
         if (labels[static_cast<std::size_t>(v)] > c_.num_gates() + 1) {
           return CompOutcome::kInfeasible;
         }
@@ -567,7 +471,7 @@ LabelEngine::CompOutcome LabelEngine::process_comp_sequential(int comp, int phi,
       if (!options_.enable_decomposition) {
         const bool isolated = scc_isolated(c_.topology(), labels, phi,
                                            scc_.components[static_cast<std::size_t>(comp)],
-                                           scc_.component_of, comp, scratch);
+                                           scc_.component_of, comp, scratch_);
         if (isolated && isolated_last_sweep) return CompOutcome::kInfeasible;  // positive loop
         isolated_last_sweep = isolated;
       }
@@ -581,131 +485,13 @@ LabelEngine::CompOutcome LabelEngine::process_comp_sequential(int comp, int phi,
   }
 }
 
-LabelEngine::CompOutcome LabelEngine::process_comp_parallel(int comp, int phi,
-                                                            LabelResult& result) {
-  const CompPlan& plan = plans_[static_cast<std::size_t>(comp)];
-  std::vector<int>& labels = result.labels;
-  const std::int64_t n = static_cast<std::int64_t>(plan.gates.size());
-  const std::int64_t total = std::max<std::int64_t>(2, c_.num_gates());
-  const std::int64_t criterion_cap = options_.use_pld ? 6 * n + 2 : total * total;
-  const bool budget_binds =
-      options_.sweep_budget > 0 && options_.sweep_budget < criterion_cap;
-  const std::int64_t cap = budget_binds ? options_.sweep_budget : criterion_cap;
-
-  ThreadPool& pool = ThreadPool::global();
-  // One level batch: compute every update against the batch-start snapshot
-  // (Jacobi), then apply. The trajectory is therefore independent of thread
-  // count and work-stealing order; the snapshot semantics are kept even for
-  // batches run inline.
-  const auto run_batch = [&](const Batch& b) {
-    const std::size_t bn = static_cast<std::size_t>(b.end - b.begin);
-    if (batch_result_.size() < bn) batch_result_.resize(bn);
-    if (bn < 2 || threads_ == 1) {
-      for (std::size_t i = 0; i < bn; ++i) {
-        batch_result_[i] = label_update(
-            c_, labels, phi, plan.batch_gates[static_cast<std::size_t>(b.begin) + i], options_,
-            lane_stats_[static_cast<std::size_t>(caller_lane_)], &cache_,
-            &scratch_[static_cast<std::size_t>(caller_lane_)]);
-      }
-    } else {
-      pool.for_each(
-          bn,
-          [&](std::size_t i, int lane) {
-            batch_result_[i] = label_update(
-                c_, labels, phi, plan.batch_gates[static_cast<std::size_t>(b.begin) + i],
-                options_, lane_stats_[static_cast<std::size_t>(lane)], &cache_,
-                &scratch_[static_cast<std::size_t>(lane)]);
-          },
-          threads_ - 1, &options_.budget);
-    }
-    // A fired interrupt leaves some batch slots unwritten (the pool skips
-    // their items), so the whole batch is discarded — labels are monotone
-    // lower bounds, dropping in-flight updates is always safe.
-    if (options_.budget.interrupted()) return false;
-    bool changed = false;
-    for (std::size_t i = 0; i < bn; ++i) {
-      const NodeId v = plan.batch_gates[static_cast<std::size_t>(b.begin) + i];
-      if (batch_result_[i] > labels[static_cast<std::size_t>(v)]) {
-        labels[static_cast<std::size_t>(v)] = batch_result_[i];
-        changed = true;
-      }
-    }
-    return changed;
-  };
-
-  bool isolated_last_sweep = false;
-  bool isolated_twice = false;
-  bool converged = false;
-  bool diverged = false;
-  bool interrupted = false;
-  for (std::int64_t sweep = 0; sweep < cap; ++sweep) {
-    ++lane_stats_[static_cast<std::size_t>(caller_lane_)].sweeps;
-    bool changed = false;
-    for (const Batch& b : plan.batches) {
-      if (run_batch(b)) changed = true;
-      if (options_.budget.interrupted()) {
-        interrupted = true;
-        break;
-      }
-    }
-    if (interrupted) break;
-    if (!changed) {
-      converged = true;
-      break;
-    }
-    if (options_.use_pld) {
-      // The divergence certificate is a property of the current labels, not
-      // of the sweep order, so it applies verbatim to the batched trajectory.
-      for (const NodeId v : plan.gates) {
-        if (labels[static_cast<std::size_t>(v)] > c_.num_gates() + 1) {
-          diverged = true;
-          break;
-        }
-      }
-      if (diverged) break;
-      // Isolation is only a divergence signal for the plain K-cut update
-      // (see process_comp_sequential); with decomposition the cap decides.
-      if (!options_.enable_decomposition) {
-        const bool isolated = scc_isolated(c_.topology(), labels, phi,
-                                           scc_.components[static_cast<std::size_t>(comp)],
-                                           scc_.component_of, comp,
-                                           scratch_[static_cast<std::size_t>(caller_lane_)]);
-        if (isolated && isolated_last_sweep) {
-          isolated_twice = true;
-          break;
-        }
-        isolated_last_sweep = isolated;
-      }
-    }
-  }
-  merge_worker_stats(result.stats);
-
-  if (interrupted) return CompOutcome::kInterrupted;
-  if (converged) return CompOutcome::kConverged;
-  if (diverged) return CompOutcome::kInfeasible;
-  if (budget_binds && !isolated_twice) {
-    return CompOutcome::kBudgetExhausted;  // sweep budget, not a certificate
-  }
-  if (!options_.use_pld) {
-    return CompOutcome::kInfeasible;  // the n^2 bound holds for any fair sweep order
-  }
-  // The 6n cap and the isolation criterion are proven for the sequential
-  // sweep order; re-run that exact order from the current labels (valid
-  // lower bounds, so the least fixpoint is unchanged) to settle the verdict.
-  // Feasible components re-converge here in a few sweeps.
-  return process_comp_sequential(comp, phi, labels, result.stats,
-                                 scratch_[static_cast<std::size_t>(caller_lane_)],
-                                 options_.sweep_budget);
-}
-
 LabelEngine::CompOutcome LabelEngine::process_comp_incremental(int comp, int phi,
                                                                std::vector<int>& labels,
-                                                               LabelStats& stats,
-                                                               CutScratch& scratch, bool meta_fast,
+                                                               LabelStats& stats, bool meta_fast,
                                                                bool hint_seeded) {
-  const CompPlan& plan = plans_[static_cast<std::size_t>(comp)];
+  const std::vector<NodeId>& gates = comp_gates_[static_cast<std::size_t>(comp)];
   const CsrTopology& topo = c_.topology();
-  const std::int64_t n = static_cast<std::int64_t>(plan.gates.size());
+  const std::int64_t n = static_cast<std::int64_t>(gates.size());
   const int label_bound = c_.num_gates() + 1;
 
   // Seed: gates whose fanin bound depends on φ directly, gates whose
@@ -726,7 +512,7 @@ LabelEngine::CompOutcome LabelEngine::process_comp_incremental(int comp, int phi
   };
   for (const NodeId v : phi_sensitive_[static_cast<std::size_t>(comp)]) seed(v);
   if (meta_fast) {
-    for (const NodeId v : plan.gates) {
+    for (const NodeId v : gates) {
       if (phi < cone_phi_floor_[static_cast<std::size_t>(v)]) seed(v);
     }
   }
@@ -745,7 +531,7 @@ LabelEngine::CompOutcome LabelEngine::process_comp_incremental(int comp, int phi
   // stay for the filtered sweep's skip test (or are cleared ahead of the
   // full-sweep fallback).
   std::int64_t initial_dirty = 0;
-  for (const NodeId v : plan.gates) {
+  for (const NodeId v : gates) {
     initial_dirty += dirty_[static_cast<std::size_t>(v)];
   }
   const bool grind = (meta_fast || hint_seeded) && 4 * initial_dirty <= n;
@@ -754,7 +540,7 @@ LabelEngine::CompOutcome LabelEngine::process_comp_incremental(int comp, int phi
   int isolated_streak = 0;
   for (std::int64_t round = 0; grind && round < round_cap; ++round) {
     bool any_dirty = false;
-    for (const NodeId v : plan.gates) {
+    for (const NodeId v : gates) {
       if (dirty_[static_cast<std::size_t>(v)] != 0) {
         any_dirty = true;
         break;
@@ -764,7 +550,7 @@ LabelEngine::CompOutcome LabelEngine::process_comp_incremental(int comp, int phi
     ++stats.dirty_rounds;
     std::int64_t processed = 0;
     bool changed = false;
-    for (const NodeId v : plan.gates) {
+    for (const NodeId v : gates) {
       if (dirty_[static_cast<std::size_t>(v)] == 0) continue;
       dirty_[static_cast<std::size_t>(v)] = 0;
       if (options_.budget.interrupted()) return CompOutcome::kInterrupted;
@@ -774,7 +560,7 @@ LabelEngine::CompOutcome LabelEngine::process_comp_incremental(int comp, int phi
       // callee's first branch and the trajectory is unchanged.
       if (labels[static_cast<std::size_t>(v)] >= fanin_bound(c_, labels, phi, v) + 1) continue;
       ++processed;
-      const int updated = eval_update_recorded(v, phi, labels, stats, scratch);
+      const int updated = eval_update_recorded(v, phi, labels, stats);
       if (updated > labels[static_cast<std::size_t>(v)]) {
         labels[static_cast<std::size_t>(v)] = updated;
         raise_stamp_[static_cast<std::size_t>(v)] = ++meta_clock_;
@@ -801,7 +587,7 @@ LabelEngine::CompOutcome LabelEngine::process_comp_incremental(int comp, int phi
     if (changed) {
       const bool isolated =
           scc_isolated(topo, labels, phi, scc_.components[static_cast<std::size_t>(comp)],
-                       scc_.component_of, comp, scratch);
+                       scc_.component_of, comp, scratch_);
       if (isolated) {
         if (++isolated_streak >= 2) break;
       } else {
@@ -812,7 +598,7 @@ LabelEngine::CompOutcome LabelEngine::process_comp_incremental(int comp, int phi
   if (!meta_fast) {
     // Residual marks (round cap or advisory exit) are superseded by the full
     // sweeps; clear them so a later probe's seed is exact.
-    for (const NodeId v : plan.gates) dirty_[static_cast<std::size_t>(v)] = 0;
+    for (const NodeId v : gates) dirty_[static_cast<std::size_t>(v)] = 0;
     // Fixpoint verification and fallback in one: the full-sweep loop's first
     // unchanged sweep proves convergence, and anything the fanout propagation
     // missed is simply re-raised by regular sweeps. The labels entering here
@@ -821,7 +607,7 @@ LabelEngine::CompOutcome LabelEngine::process_comp_incremental(int comp, int phi
     // the way re-synchronizes the cone metadata: the final unchanged sweep
     // evaluates every gate at the fixpoint, so the metadata describes exactly
     // that state and the next warm probe may verify by freshness instead.
-    return process_comp_sequential(comp, phi, labels, stats, scratch, /*sweep_budget=*/0,
+    return process_comp_sequential(comp, phi, labels, stats, /*sweep_budget=*/0,
                                    /*record_meta=*/true);
   }
 
@@ -839,7 +625,7 @@ LabelEngine::CompOutcome LabelEngine::process_comp_incremental(int comp, int phi
   for (std::int64_t sweep = 0;; ++sweep) {
     ++stats.sweeps;
     bool changed = false;
-    for (const NodeId v : plan.gates) {
+    for (const NodeId v : gates) {
       if (options_.budget.interrupted()) return CompOutcome::kInterrupted;
       if (dirty_[static_cast<std::size_t>(v)] == 0 && cone_reads_fresh(v)) {
         ++stats.nodes_skipped;
@@ -852,7 +638,7 @@ LabelEngine::CompOutcome LabelEngine::process_comp_incremental(int comp, int phi
         ++stats.nodes_skipped;
         continue;
       }
-      const int updated = eval_update_recorded(v, phi, labels, stats, scratch);
+      const int updated = eval_update_recorded(v, phi, labels, stats);
       if (updated > labels[static_cast<std::size_t>(v)]) {
         labels[static_cast<std::size_t>(v)] = updated;
         raise_stamp_[static_cast<std::size_t>(v)] = ++meta_clock_;
@@ -871,7 +657,7 @@ LabelEngine::CompOutcome LabelEngine::process_comp_incremental(int comp, int phi
     if (!changed) return CompOutcome::kConverged;
     const bool isolated =
         scc_isolated(topo, labels, phi, scc_.components[static_cast<std::size_t>(comp)],
-                     scc_.component_of, comp, scratch);
+                     scc_.component_of, comp, scratch_);
     if (isolated && isolated_last) return CompOutcome::kInfeasible;  // positive loop
     isolated_last = isolated;
     if (sweep + 1 >= criterion_cap) return CompOutcome::kInfeasible;
@@ -972,18 +758,14 @@ LabelResult LabelEngine::compute(int phi) {
   // the fixpoint this probe is seeded from (same warm entry, no imported
   // hint). Any recorded probe rewrites the metadata, so it is invalidated up
   // front and re-certified only on clean convergence below; unrecorded
-  // probes (parallel sweeps, non-incremental modes) never touch it.
-  const bool recorded = incremental || (threads_ == 1 && incremental_active());
+  // probes (non-incremental modes) never touch it.
+  const bool recorded = incremental_active();
   const bool meta_fast =
       incremental && meta_valid_ && dirty_hint == nullptr && seed_phi == meta_phi_;
   if (recorded) meta_valid_ = false;
 
   if (incremental) {
-    // Warm-seeded plain-update probe: dirty-set iteration per component,
-    // sequentially in condensation order even when threads_ > 1 — cross-
-    // component dirty propagation needs the shared dirty_ array, and the
-    // converged labels are thread-count independent anyway (unique least
-    // fixpoint), so only per-run stats would differ.
+    // Warm-seeded plain-update probe: dirty-set iteration per component.
     const CsrTopology& topo = c_.topology();
     std::fill(dirty_.begin(), dirty_.end(), 0);
     if (dirty_hint != nullptr) {
@@ -993,81 +775,17 @@ LabelResult LabelEngine::compute(int phi) {
         }
       }
     }
-    CutScratch& scratch = scratch_[static_cast<std::size_t>(caller_lane_)];
-    for (int comp = 0; comp < static_cast<int>(scc_.components.size()); ++comp) {
-      if (plans_[static_cast<std::size_t>(comp)].gates.empty()) continue;
-      const CompOutcome out = process_comp_incremental(comp, phi, result.labels, result.stats,
-                                                       scratch, meta_fast, dirty_hint != nullptr);
-      if (out != CompOutcome::kConverged) {
-        finish(out);
-        return result;
-      }
-    }
-  } else if (threads_ == 1) {
-    for (int comp = 0; comp < static_cast<int>(scc_.components.size()); ++comp) {
-      if (plans_[static_cast<std::size_t>(comp)].gates.empty()) continue;
-      const CompOutcome out = process_comp_sequential(comp, phi, result.labels, result.stats,
-                                                      scratch_[0], options_.sweep_budget,
-                                                      /*record_meta=*/recorded);
-      if (out != CompOutcome::kConverged) {
-        finish(out);
-        return result;
-      }
-    }
-  } else {
-    ThreadPool& pool = ThreadPool::global();
-    // A certified diverging SCC decides the verdict no matter what happened
-    // elsewhere; an interrupt beats a budget-imposed stop for the status.
-    const auto rank = [](CompOutcome o) {
-      switch (o) {
-        case CompOutcome::kInfeasible:
-          return 3;
-        case CompOutcome::kInterrupted:
-          return 2;
-        case CompOutcome::kBudgetExhausted:
-          return 1;
-        case CompOutcome::kConverged:
-          break;
-      }
-      return 0;
-    };
-    for (const std::vector<int>& wave : waves_) {
-      if (wave.size() == 1) {
-        const CompOutcome out = process_comp_parallel(wave[0], phi, result);
-        if (out != CompOutcome::kConverged) {
-          finish(out);
-          return result;
-        }
-        continue;
-      }
-      // Components of one wavefront are mutually independent (no condensation
-      // path connects them), so each runs the sequential inner order on its
-      // own lane: its PLD criteria apply verbatim, every write targets its
-      // own component's labels, and every external read is a frozen earlier
-      // wave. The whole wave runs to completion before feasibility is
-      // checked — no cross-thread aborts, so the outcome is deterministic.
-      // (A fired interrupt skips unstarted components; their slots keep the
-      // kInterrupted initializer.)
-      std::vector<CompOutcome> outcomes(wave.size(), CompOutcome::kInterrupted);
-      pool.for_each(
-          wave.size(),
-          [&](std::size_t i, int lane) {
-            outcomes[i] =
-                process_comp_sequential(wave[i], phi, result.labels,
-                                        lane_stats_[static_cast<std::size_t>(lane)],
-                                        scratch_[static_cast<std::size_t>(lane)],
-                                        options_.sweep_budget);
-          },
-          threads_ - 1, &options_.budget);
-      merge_worker_stats(result.stats);
-      CompOutcome worst = CompOutcome::kConverged;
-      for (const CompOutcome out : outcomes) {
-        if (rank(out) > rank(worst)) worst = out;
-      }
-      if (worst != CompOutcome::kConverged) {
-        finish(worst);
-        return result;
-      }
+  }
+  for (int comp = 0; comp < static_cast<int>(scc_.components.size()); ++comp) {
+    if (comp_gates_[static_cast<std::size_t>(comp)].empty()) continue;
+    const CompOutcome out =
+        incremental ? process_comp_incremental(comp, phi, result.labels, result.stats, meta_fast,
+                                               dirty_hint != nullptr)
+                    : process_comp_sequential(comp, phi, result.labels, result.stats,
+                                              options_.sweep_budget, /*record_meta=*/recorded);
+    if (out != CompOutcome::kConverged) {
+      finish(out);
+      return result;
     }
   }
 

@@ -19,15 +19,12 @@
 // nodes (vs the previous n^2 bound, kept for the ablation benchmark).
 //
 // LabelEngine is the production entry point: one engine amortizes the graph
-// analysis (SCCs, condensation wavefronts, zero-weight levels), shares the
-// decomposition cache across probes, warm-starts each probe from the nearest
-// previously feasible phi, and runs label updates in parallel (independent
-// SCCs of a condensation wavefront concurrently; within an SCC, the gates of
-// one zero-weight topological level as a batch). Updates are computed against
-// the batch-start label snapshot and applied afterwards, so the iteration is
-// race-free and its trajectory is identical for every thread count > 1;
-// because labels form a monotone lower-bound iteration with a unique least
-// fixpoint, converged labels are identical to the sequential engine's.
+// analysis (SCCs and their zero-weight sweep order), shares the
+// decomposition cache across probes, and warm-starts each plain-update probe
+// from the nearest previously feasible phi. Labels are updated in one
+// sequential sweep order (SCCs in topological order, gates in zero-weight
+// topological order within an SCC) — the order the PLD stopping rules are
+// proven for — so a run's result depends only on the circuit and options.
 
 #include <cstdint>
 #include <map>
@@ -53,9 +50,6 @@ struct LabelOptions {
   /// cap fires the result reports infeasible with Status::kDegraded (a
   /// budget verdict, not an infeasibility certificate).
   std::int64_t sweep_budget = 0;
-  /// Concurrency of the label engine: 0 = hardware concurrency, 1 = the
-  /// sequential legacy sweep order, N > 1 = at most N concurrent updates.
-  int num_threads = 0;
   /// Dirty-set incremental recomputation across φ probes: a warm-seeded
   /// probe re-runs only nodes whose label bound can actually move (seeded
   /// from the φ-sensitive and φ-exposed gates, propagated along fanouts),
@@ -126,20 +120,19 @@ struct DecompCache {
   std::vector<std::unordered_map<std::uint64_t, bool>> per_node;
 };
 
-/// Incremental, parallel label computation for a fixed circuit and options.
-/// Construction precomputes the SCC condensation, its wavefronts and the
-/// zero-weight level batches; compute() may then be called for any sequence
-/// of target ratios. All probes of one engine share the decomposition cache,
-/// and each probe warm-starts from the converged labels of the nearest
-/// previously feasible phi >= the probe (labels are antitone in phi, so
-/// those labels are valid lower bounds that shortcut the iteration).
+/// Incremental label computation for a fixed circuit and options.
+/// Construction precomputes the SCC condensation and each SCC's sweep order;
+/// compute() may then be called for any sequence of target ratios. All
+/// probes of one engine share the decomposition cache, and each plain-update
+/// probe warm-starts from the converged labels of the nearest previously
+/// feasible phi >= the probe (labels are antitone in phi, so those labels are
+/// valid lower bounds that shortcut the iteration).
 class LabelEngine {
  public:
   LabelEngine(const Circuit& c, const LabelOptions& options);
 
   /// Runs the label computation for target ratio phi (>= 1). For a fixed
-  /// engine and phi the result is deterministic, and converged labels are
-  /// identical for every num_threads setting.
+  /// engine and probe sequence the result is deterministic.
   LabelResult compute(int phi);
 
   /// Imports externally derived labels as a warm seed for probes at
@@ -154,24 +147,13 @@ class LabelEngine {
   void import_warm(int phi, std::vector<int> labels, std::vector<NodeId> dirty_hint);
 
  private:
-  struct Batch {
-    int begin = 0;  // range into CompPlan::batch_gates
-    int end = 0;
-  };
-  struct CompPlan {
-    std::vector<NodeId> gates;        // updatable gates, zero-weight topo order
-    std::vector<NodeId> batch_gates;  // same gates, (level, topo position) order
-    std::vector<Batch> batches;       // one per zero-weight level
-  };
-
   /// Verdict of one SCC's iteration. kInfeasible is a divergence certificate
   /// only when no resource ceiling interfered (tracked via LabelStats).
   enum class CompOutcome { kConverged, kInfeasible, kBudgetExhausted, kInterrupted };
 
   CompOutcome process_comp_sequential(int comp, int phi, std::vector<int>& labels,
-                                      LabelStats& stats, CutScratch& scratch,
-                                      std::int64_t sweep_budget, bool record_meta = false);
-  CompOutcome process_comp_parallel(int comp, int phi, LabelResult& result);
+                                      LabelStats& stats, std::int64_t sweep_budget,
+                                      bool record_meta = false);
   /// Dirty-worklist iteration for a warm-seeded plain-update probe, followed
   /// by the verification sweep. With `meta_fast` (cone-dependency metadata
   /// matches the seed) the verification skips gates whose recorded read-set
@@ -182,15 +164,13 @@ class LabelEngine {
   /// rounds run at all (a metadata-less, hint-less re-seed goes straight to
   /// the fallback, which costs exactly the cold iteration).
   CompOutcome process_comp_incremental(int comp, int phi, std::vector<int>& labels,
-                                       LabelStats& stats, CutScratch& scratch, bool meta_fast,
-                                       bool hint_seeded);
+                                       LabelStats& stats, bool meta_fast, bool hint_seeded);
   /// label_update plus cone-dependency bookkeeping: stamps the evaluation,
   /// and when a cut test ran, refreshes the gate's recorded read-set and
   /// φ-floor from the expanded network it built. An early-exit evaluation
   /// (l >= L+1, no network) depends on direct fanins only, so it clears
   /// both.
-  int eval_update_recorded(NodeId v, int phi, std::span<const int> labels, LabelStats& stats,
-                           CutScratch& scratch);
+  int eval_update_recorded(NodeId v, int phi, std::span<const int> labels, LabelStats& stats);
   /// True iff no label in v's recorded read-set has risen since v's last
   /// recorded evaluation (so re-evaluating v is provably a no-op as long as
   /// v is not dirty, φ-sensitive or φ-exposed).
@@ -201,20 +181,14 @@ class LabelEngine {
     return options_.incremental && !options_.enable_decomposition && options_.use_pld &&
            options_.sweep_budget == 0;
   }
-  void merge_worker_stats(LabelStats& into);
 
   const Circuit& c_;
   LabelOptions options_;
-  int threads_ = 1;       // effective participant count (workers + caller)
-  int caller_lane_ = 0;   // scratch slot the calling thread uses
   DecompCache cache_;
   SccDecomposition scc_;
-  std::vector<int> topo_pos_;
-  std::vector<CompPlan> plans_;          // indexed by component
-  std::vector<std::vector<int>> waves_;  // gate-bearing components per wavefront
-  std::vector<CutScratch> scratch_;      // one per pool lane
-  std::vector<LabelStats> lane_stats_;
-  std::vector<int> batch_result_;        // Jacobi buffer for one level batch
+  std::vector<std::vector<NodeId>> comp_gates_;  // per component: updatable gates,
+                                                 // zero-weight topo order
+  CutScratch scratch_;  // cut-test and PLD buffers, reused by every update
   std::map<int, std::vector<int>> warm_;  // feasible phi -> converged labels
   /// Imported (near-miss) warm entries, keyed like warm_: their labels are
   /// valid lower bounds but NOT converged fixpoints, so the exact-φ replay
@@ -232,8 +206,7 @@ class LabelEngine {
   // the recorded network, so the verdict is provably φ-independent for every
   // probe φ >= floor as long as the labels it read are unchanged. Evaluations
   // and raises are stamped on a shared monotone clock, so "no read label rose
-  // since my last evaluation" is one comparison per read. Recording runs only
-  // on the single-threaded sequential/incremental paths; meta_valid_
+  // since my last evaluation" is one comparison per read. meta_valid_
   // certifies that every gate's metadata describes its evaluation at the
   // fixpoint stored in warm_[meta_phi_] — only then may a probe seeded from
   // that entry replace the full verification sweep with freshness checks.

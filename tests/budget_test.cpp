@@ -120,7 +120,6 @@ TEST(Budget, BddStarvedTurboSynDegradesToPlainCutLabels) {
   const Circuit c = figure1_circuit();
   FlowOptions opt;
   opt.k = 3;
-  opt.num_threads = 1;
   opt.budget.set_bdd_node_budget(1);
   const FlowResult r = run_turbosyn(c, opt);
   EXPECT_EQ(r.phi, 2);
@@ -135,7 +134,6 @@ TEST(Budget, DecompAttemptCeilingStillYieldsEquivalentMapping) {
   const Circuit c = figure1_circuit();
   FlowOptions opt;
   opt.k = 3;
-  opt.num_threads = 1;
   opt.budget.set_decomp_attempt_budget(1);
   const FlowResult r = run_turbosyn(c, opt);
   EXPECT_TRUE(r.phi == 1 || r.phi == 2);
@@ -151,7 +149,6 @@ TEST(Budget, FlowAugmentCeilingFallsBackToIdentityMapping) {
   const Circuit c = figure1_circuit();
   FlowOptions opt;
   opt.k = 3;
-  opt.num_threads = 1;
   opt.budget.set_flow_augment_budget(1);
   const FlowResult r = run_turbomap(c, opt);
   EXPECT_EQ(r.status, Status::kDegraded);
@@ -163,7 +160,6 @@ TEST(Budget, ExpiredDeadlineReturnsIdentityFallback) {
   const Circuit c = figure1_circuit();
   FlowOptions opt;
   opt.k = 3;
-  opt.num_threads = 1;
   opt.budget.set_deadline_after_ms(0);
   const FlowResult r = run_turbomap(c, opt);
   EXPECT_EQ(r.status, Status::kDeadlineExceeded);
@@ -177,7 +173,6 @@ TEST(Budget, PreCancelledTokenStopsTurboSynGracefully) {
   token.cancel();
   FlowOptions opt;
   opt.k = 3;
-  opt.num_threads = 1;
   opt.budget.set_cancel_token(&token);
   const FlowResult r = run_turbosyn(c, opt);
   EXPECT_EQ(r.status, Status::kCancelled);
@@ -185,14 +180,13 @@ TEST(Budget, PreCancelledTokenStopsTurboSynGracefully) {
   expect_equivalent(c, r.mapped, 64, 25);
 }
 
-TEST(Budget, AsyncCancellationDrainsParallelEngine) {
-  // Cancel from another thread mid-run with a parallel label engine: the
-  // flow must terminate promptly and still return a valid, equivalent
-  // mapping (best-so-far or the identity fallback).
+TEST(Budget, AsyncCancellationDrainsRunningFlow) {
+  // Cancel from another thread mid-run: the flow must terminate promptly
+  // and still return a valid, equivalent mapping (best-so-far or the
+  // identity fallback).
   const Circuit c = generate_fsm_circuit(tiny_suite()[0]);
   CancelToken token;
   FlowOptions opt;
-  opt.num_threads = 4;
   opt.budget.set_cancel_token(&token);
   std::thread canceller([&token] {
     std::this_thread::sleep_for(std::chrono::milliseconds(15));
@@ -215,7 +209,6 @@ TEST(Budget, SweepBudgetVerdictIsNotACertificate) {
   const Circuit c = figure1_circuit();
   LabelOptions lo;
   lo.k = 3;
-  lo.num_threads = 1;
 
   const LabelResult certified = compute_labels(c, 1, lo);
   EXPECT_FALSE(certified.feasible);
@@ -233,7 +226,6 @@ TEST(Budget, UnlimitedBudgetIsBitIdentical) {
   const Circuit c = figure1_circuit();
   FlowOptions plain;
   plain.k = 3;
-  plain.num_threads = 1;
   FlowOptions budgeted = plain;
   budgeted.budget.set_deadline_after_ms(1000L * 3600);  // far-future deadline
   const FlowResult a = run_turbosyn(c, plain);

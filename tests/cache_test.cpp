@@ -43,7 +43,6 @@ std::string fingerprint(const FlowResult& r) {
 FlowOptions small_options() {
   FlowOptions opt;
   opt.k = 4;
-  opt.num_threads = 1;
   return opt;
 }
 
@@ -100,11 +99,10 @@ TEST(CacheKey, CoversResultRelevantOptionsOnly) {
 
   EXPECT_NE(base.text, make_cache_key(c, opt, FlowKind::kTurboMap).text);
 
-  // Thread count and observability knobs must not split the key space.
-  FlowOptions threads = opt;
-  threads.num_threads = 8;
-  threads.collect_artifacts = true;
-  EXPECT_EQ(base.text, make_cache_key(c, threads, FlowKind::kTurboSyn).text);
+  // Observability knobs must not split the key space.
+  FlowOptions observed = opt;
+  observed.collect_artifacts = true;
+  EXPECT_EQ(base.text, make_cache_key(c, observed, FlowKind::kTurboSyn).text);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,15 +2,13 @@
 // with the invariant auditor as the oracle.
 //
 //   $ flow_fuzz_main [--seeds N | --seeds A..B] [--time-budget SECONDS]
-//                    [--threads N] [--through-cache] [--portfolio]
-//                    [--hot-policy] [--require-all] [--verbose]
+//                    [--through-cache] [--portfolio] [--hot-policy]
+//                    [--require-all] [--verbose]
 //
 // Per seed it generates a small random FSM circuit (workloads/generator),
 // runs TurboMap and TurboSYN, and checks:
 //   - every flow result passes the full stage-by-stage audit
 //     (structure, interface, labels, cuts, MDR, period, equivalence);
-//   - 1-thread and N-thread runs are bit-identical (phi, period and the
-//     BLIF text of the mapped network);
 //   - replaying a run with the same options is bit-identical (every 4th
 //     seed);
 //   - budget-degraded runs (every 3rd seed: tight decomposition/flow
@@ -70,7 +68,6 @@ struct FuzzConfig {
   std::uint64_t first_seed = 1;
   std::uint64_t last_seed = 50;
   double time_budget_s = 0.0;  // 0 = unlimited
-  int threads = 2;             // the "N" of the 1-vs-N determinism check
   bool through_cache = false;  // replay every seed through a flow cache
   bool portfolio = false;      // race a rotating engine portfolio per seed
   bool hot_policy = false;     // recency-vs-cost-aware hot-tier oracle
@@ -94,8 +91,6 @@ FuzzConfig parse_args(int argc, char** argv) {
       }
     } else if (a == "--time-budget" && i + 1 < argc) {
       cfg.time_budget_s = std::strtod(argv[++i], nullptr);
-    } else if (a == "--threads" && i + 1 < argc) {
-      cfg.threads = std::atoi(argv[++i]);
     } else if (a == "--through-cache") {
       cfg.through_cache = true;
     } else if (a == "--portfolio") {
@@ -107,7 +102,7 @@ FuzzConfig parse_args(int argc, char** argv) {
     } else if (a == "--verbose") {
       cfg.verbose = true;
     } else {
-      std::cerr << "usage: flow_fuzz_main [--seeds N|A..B] [--time-budget S] [--threads N]"
+      std::cerr << "usage: flow_fuzz_main [--seeds N|A..B] [--time-budget S]"
                    " [--through-cache] [--portfolio] [--hot-policy] [--require-all]"
                    " [--verbose]\n";
       std::exit(2);
@@ -204,7 +199,6 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
 
   FlowOptions opt;
   opt.k = 4;
-  opt.num_threads = 1;
   opt.collect_artifacts = true;
 
   const FlowResult tm = run_turbomap(c, opt);
@@ -213,21 +207,6 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
   audit_into(out, c, ts, opt, "turbosyn", seed, cfg.verbose);
   expect(out, ts.phi <= tm.phi, "turbosyn phi " + std::to_string(ts.phi) +
                                     " worse than turbomap phi " + std::to_string(tm.phi));
-
-  // Thread-count determinism: the parallel label engine must not change the
-  // result, bit for bit.
-  if (cfg.threads != 1) {
-    FlowOptions par = opt;
-    par.num_threads = cfg.threads;
-    const FlowResult tm_par = run_turbomap(c, par);
-    expect(out, fingerprint(tm_par) == fingerprint(tm),
-           "turbomap differs between 1 and " + std::to_string(cfg.threads) + " threads");
-    if (seed % 2 == 0) {
-      const FlowResult ts_par = run_turbosyn(c, par);
-      expect(out, fingerprint(ts_par) == fingerprint(ts),
-             "turbosyn differs between 1 and " + std::to_string(cfg.threads) + " threads");
-    }
-  }
 
   // Replay determinism: same options, same process, same bits.
   if (seed % 4 == 0) {

@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "base/rng.hpp"
 #include "core/flows.hpp"
 #include "netlist/blif.hpp"
+#include "netlist/canonical.hpp"
 #include "retime/cycle_ratio.hpp"
 #include "retime/retiming.hpp"
 #include "sim/simulator.hpp"
@@ -170,23 +172,22 @@ TEST(Flows, PldOffGivesSameAnswerAsPldOn) {
   }
 }
 
-// The whole flow — ratio search, warm-started probes and mapping generation —
-// must produce the same mapped network whether the label engine runs
-// sequentially or in parallel.
-TEST(Flows, ParallelFlowMatchesSequentialFlow) {
-  for (int i = 0; i < 3; ++i) {
-    const Circuit c = generate_fsm_circuit(tiny_suite()[static_cast<std::size_t>(i)]);
-    FlowOptions seq;
-    seq.k = 4;
-    seq.num_threads = 1;
-    FlowOptions par = seq;
-    par.num_threads = 4;
-    const FlowResult a = run_turbosyn(c, seq);
-    const FlowResult b = run_turbosyn(c, par);
-    EXPECT_EQ(a.phi, b.phi) << i;
-    EXPECT_EQ(a.luts, b.luts) << i;
-    EXPECT_EQ(write_blif_string(a.mapped), write_blif_string(b.mapped)) << i;
-  }
+// TurboSYN on Table-1 s1 with default options, pinned to the sequential
+// sweep's result. The decomposition update is not monotone, so any other
+// update order can settle on a different fixpoint at the same phi (a
+// batched order gave 540 LUTs / 54 FFs here): default options must not
+// depend on the host's core count.
+TEST(Flows, TurboSynS1MatchesSequentialSweep) {
+  const auto suite = table1_suite();
+  const auto s1 = std::find_if(suite.begin(), suite.end(),
+                               [](const BenchmarkSpec& s) { return s.name == "s1"; });
+  ASSERT_NE(s1, suite.end());
+  const FlowResult r = run_turbosyn(generate_fsm_circuit(*s1), FlowOptions{});
+  EXPECT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(r.phi, 4);
+  EXPECT_EQ(r.luts, 417);
+  EXPECT_EQ(r.ffs, 47);
+  EXPECT_EQ(fnv1a64(write_blif_string(r.mapped)), 0x7a32803240bee283ULL);
 }
 
 TEST(Flows, TruthTableEngineMatchesBddEngine) {

@@ -220,7 +220,6 @@ TEST(RetimingTable, AgreesWithFreshSolvesOnTinySuite) {
 
 TEST(RetimingTable, AgreesWithFreshSolvesOnMappedTable1Circuits) {
   FlowOptions opt;
-  opt.num_threads = 1;
   opt.pipeline = false;
   for (const auto& spec : table1_suite()) {
     if (spec.name != "bbara" && spec.name != "s298" && spec.name != "dk16") continue;
