@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the engineering-critical kernels:
 // truth-table composition, BDD construction and column multiplicity, the
-// Dinic K-cut test, Roth–Karp decomposition, the expanded-circuit build and
-// the sequential simulator. These are the inner loops that the per-sweep
+// node-cut kernel's K-cut test, Roth–Karp decomposition, the expanded-circuit
+// build and the sequential simulator. These are the inner loops that the per-sweep
 // label computation cost (and hence every table) rests on. BM_PipelineRetime
 // times the pipelining + retiming post-process on one mapped network.
 //
@@ -12,7 +12,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
@@ -27,7 +29,7 @@
 #include "core/labeling.hpp"
 #include "core/portfolio.hpp"
 #include "decomp/roth_karp.hpp"
-#include "graph/max_flow.hpp"
+#include "graph/node_cut.hpp"
 #include "netlist/blif.hpp"
 #include "retime/pipeline.hpp"
 #include "service/batch_runner.hpp"
@@ -120,38 +122,44 @@ void BM_RothKarpDecompose(benchmark::State& state) {
 }
 BENCHMARK(BM_RothKarpDecompose);
 
-void BM_DinicKCutTest(benchmark::State& state) {
-  // Layered DAG flow network, the shape of a FlowMap cone test.
+void BM_NodeCutKernel(benchmark::State& state) {
+  // Layered DAG of unit nodes, the shape of a FlowMap cone test: 8 source-fed
+  // nodes, then layers of 8 nodes reading two neighbours each, all feeding
+  // the sink. A K = 5 test exceeds its limit after 6 augmenting paths.
   const int layers = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    MaxFlow flow;
-    const int s = flow.add_node();
-    const int t = flow.add_node();
-    std::vector<int> prev;
-    for (int i = 0; i < 8; ++i) {
-      const int in = flow.add_node();
-      const int out = flow.add_node();
-      flow.add_arc(in, out, 1);
-      flow.add_arc(s, in, MaxFlow::kInfinity);
-      prev.push_back(out);
-    }
-    for (int l = 1; l < layers; ++l) {
-      std::vector<int> cur;
-      for (int i = 0; i < 8; ++i) {
-        const int in = flow.add_node();
-        const int out = flow.add_node();
-        flow.add_arc(in, out, 1);
-        flow.add_arc(prev[static_cast<std::size_t>(i)], in, MaxFlow::kInfinity);
-        flow.add_arc(prev[static_cast<std::size_t>((i + 1) % 8)], in, MaxFlow::kInfinity);
-        cur.push_back(out);
-      }
-      prev = cur;
-    }
-    for (const int out : prev) flow.add_arc(out, t, MaxFlow::kInfinity);
-    benchmark::DoNotOptimize(flow.compute(s, t, 5));
+  std::vector<std::int32_t> begin;
+  std::vector<std::int32_t> end;
+  std::vector<std::int32_t> pool;
+  std::vector<std::int64_t> capacity;
+  std::vector<std::uint8_t> role;
+  const auto add = [&](std::uint8_t r, std::initializer_list<std::int32_t> fanins) {
+    begin.push_back(static_cast<std::int32_t>(pool.size()));
+    pool.insert(pool.end(), fanins);
+    end.push_back(static_cast<std::int32_t>(pool.size()));
+    capacity.push_back(r == NodeCut::kSink ? 0 : 1);
+    role.push_back(r);
+    return static_cast<std::int32_t>(capacity.size()) - 1;
+  };
+  std::vector<std::int32_t> prev(8);
+  for (std::int32_t& node : prev) node = add(NodeCut::kFromSource, {});
+  for (int l = 1; l < layers; ++l) {
+    std::vector<std::int32_t> cur(8);
+    for (std::size_t i = 0; i < 8; ++i) cur[i] = add(0, {prev[i], prev[(i + 1) % 8]});
+    prev = cur;
   }
+  begin.push_back(static_cast<std::int32_t>(pool.size()));
+  pool.insert(pool.end(), prev.begin(), prev.end());
+  end.push_back(static_cast<std::int32_t>(pool.size()));
+  capacity.push_back(0);
+  role.push_back(NodeCut::kSink);
+  const NodeCutNetwork net{begin, end, pool, capacity, role};
+  NodeCut kernel;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernel.compute(net, 5));
+  }
+  state.counters["augmentations"] = static_cast<double>(kernel.last_augmentations());
 }
-BENCHMARK(BM_DinicKCutTest)->Arg(4)->Arg(16);
+BENCHMARK(BM_NodeCutKernel)->Arg(4)->Arg(16);
 
 void BM_ExpandedNetworkBuildAndCut(benchmark::State& state) {
   const Circuit c = generate_fsm_circuit(table1_suite()[0]);
@@ -166,10 +174,19 @@ void BM_ExpandedNetworkBuildAndCut(benchmark::State& state) {
       break;
     }
   }
+  // Height 2 makes every gate copy allowed, so a K-cut exists and its size
+  // is a deterministic counter (at height 1 only PI and registered copies
+  // may be cut and the test fails).
+  std::optional<std::vector<SeqCutNode>> cut;
+  std::int64_t augmentations = 0;
   for (auto _ : state) {
-    ExpandedNetwork net(c, labels, 2, root, 1, opt);
-    benchmark::DoNotOptimize(net.find_cut(5));
+    ExpandedNetwork net(c, labels, 2, root, 2, opt);
+    cut = net.find_cut(5);
+    augmentations = net.augmentations();
+    benchmark::DoNotOptimize(cut);
   }
+  state.counters["cut_size"] = cut.has_value() ? static_cast<double>(cut->size()) : 0.0;
+  state.counters["augmentations"] = static_cast<double>(augmentations);
 }
 BENCHMARK(BM_ExpandedNetworkBuildAndCut);
 

@@ -6,6 +6,7 @@
 //   --bdd-node-budget N       BDD node ceiling per decomposition attempt
 //   --decomp-attempt-budget N total decomposition attempts per run
 //   --flow-augment-budget N   augmenting paths per flow-based cut test
+//                             (one call of the node-cut kernel)
 // and a SIGINT handler is installed so Ctrl-C cancels cooperatively (the
 // flow returns its best-so-far result with Status::kCancelled; a second
 // Ctrl-C terminates as usual).
@@ -18,7 +19,9 @@ namespace turbosyn {
 
 /// Scans argv for the budget flags above (ignoring unrelated arguments),
 /// wires the budget to global_cancel_token(), and installs the SIGINT
-/// handler. Call once at the top of main().
+/// handler. Call once at the top of main(). A budget flag whose value is
+/// missing, not an integer, or negative prints a usage message to stderr
+/// and exits with status 2.
 RunBudget budget_from_cli(int argc, char** argv);
 
 /// One-line usage blurb for the flags budget_from_cli() understands.

@@ -47,7 +47,6 @@ void ExpandedNetwork::build(const Circuit& c, std::span<const int> labels, int p
   slack_.reserve(hw_nodes_);
   bfs_queue_.reserve(hw_nodes_);
   fanin_pool_.reserve(hw_nodes_ * 2);
-  cut_side_.reserve(hw_cut_side_);
   // O(1) index clear; on epoch wrap-around the stale stamps must be wiped.
   if (++index_epoch_ == 0) {
     index_epoch_ = 1;
@@ -105,13 +104,15 @@ int ExpandedNetwork::intern(SeqCutNode id) {
   ++index_size_;
   if (num_nodes_ == nodes_.size()) {
     nodes_.emplace_back();
+    fanin_begin_.push_back(0);
+    fanin_end_.push_back(0);
   }
   ExpNode& n = nodes_[num_nodes_];
   n.id = id;
   n.allowed = allowed(id);
   n.expanded = false;
-  n.fanin_begin = 0;
-  n.fanin_end = 0;
+  fanin_begin_[num_nodes_] = 0;
+  fanin_end_[num_nodes_] = 0;
   ++num_nodes_;
   return value;
 }
@@ -169,84 +170,64 @@ void ExpandedNetwork::expand() {
         return;
       }
     }
-    nodes_[static_cast<std::size_t>(i)].fanin_begin = fanin_begin;
-    nodes_[static_cast<std::size_t>(i)].fanin_end =
-        static_cast<std::int32_t>(fanin_pool_.size());
+    fanin_begin_[static_cast<std::size_t>(i)] = fanin_begin;
+    fanin_end_[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(fanin_pool_.size());
   }
   hw_nodes_ = std::max(hw_nodes_, num_nodes_);
 }
 
-std::optional<std::vector<SeqCutNode>> ExpandedNetwork::find_cut_impl(
-    std::int64_t value_limit, const std::function<std::int64_t(const ExpNode&)>& capacity_of) {
-  if (!viable_) return std::nullopt;
-
-  flow_.reset();
-  const int source = flow_.add_node();
-  const int sink = flow_.add_node();
-  in_id_.resize(num_nodes_);
-  out_id_.resize(num_nodes_);
+std::optional<std::vector<SeqCutNode>> ExpandedNetwork::solve(std::int64_t value_limit) {
+  // The root copy is the sink; PI copies and the unexpanded frontier feed
+  // from the source. An expanded copy without fanins is a constant gate: no
+  // PI dependence, free inside the LUT, so it neither feeds nor is fed.
+  role_.resize(num_nodes_);
   for (std::size_t i = 0; i < num_nodes_; ++i) {
-    if (nodes_[i].id.node == root_ && nodes_[i].id.w == 0) {
-      in_id_[i] = out_id_[i] = sink;
-      continue;
-    }
-    in_id_[i] = flow_.add_node();
-    out_id_[i] = flow_.add_node();
-    flow_.add_arc(in_id_[i], out_id_[i],
-                  nodes_[i].allowed ? capacity_of(nodes_[i]) : MaxFlow::kInfinity);
+    const SeqCutNode id = nodes_[i].id;
+    role_[i] = static_cast<std::uint8_t>((id.node == root_ && id.w == 0 ? NodeCut::kSink : 0) |
+                                         (nodes_[i].expanded ? 0 : NodeCut::kFromSource));
   }
-  for (std::size_t i = 0; i < num_nodes_; ++i) {
-    const ExpNode& n = nodes_[i];
-    if (n.expanded && n.fanin_end > n.fanin_begin) {
-      for (std::int32_t s = n.fanin_begin; s < n.fanin_end; ++s) {
-        const int j = fanin_pool_[static_cast<std::size_t>(s)];
-        flow_.add_arc(out_id_[static_cast<std::size_t>(j)], in_id_[i], MaxFlow::kInfinity);
-      }
-    } else if (n.expanded) {
-      // Constant gate: no PI dependence, free inside the LUT — no flow demand.
-    } else {
-      // PI copy or unexpanded frontier: feeds from the flow source.
-      flow_.add_arc(source, in_id_[i], MaxFlow::kInfinity);
-    }
-  }
-
+  const NodeCutNetwork network{
+      std::span<const std::int32_t>(fanin_begin_.data(), num_nodes_),
+      std::span<const std::int32_t>(fanin_end_.data(), num_nodes_), fanin_pool_,
+      std::span<const std::int64_t>(capacity_.data(), num_nodes_), role_};
   const std::int64_t value =
-      flow_.compute(source, sink, value_limit, options_.flow_augment_budget);
-  augmentations_ += flow_.last_augmentations();
+      kernel_.compute(network, value_limit, options_.flow_augment_budget);
+  augmentations_ += kernel_.last_augmentations();
   if (value > value_limit) {
-    if (flow_.augment_budget_hit()) flow_budget_hit_ = true;
+    if (kernel_.augment_budget_hit()) flow_budget_hit_ = true;
     return std::nullopt;
   }
-
-  flow_.min_cut_source_side(cut_side_);
-  hw_cut_side_ = std::max(hw_cut_side_, cut_side_.size());
   std::vector<SeqCutNode> cut;
-  for (std::size_t i = 0; i < num_nodes_; ++i) {
-    if (in_id_[i] == sink || !nodes_[i].allowed) continue;
-    if (cut_side_[static_cast<std::size_t>(in_id_[i])] &&
-        !cut_side_[static_cast<std::size_t>(out_id_[i])]) {
-      cut.push_back(nodes_[i].id);
-    }
-  }
+  cut.reserve(kernel_.cut().size());
+  for (const std::int32_t i : kernel_.cut()) cut.push_back(nodes_[static_cast<std::size_t>(i)].id);
   std::sort(cut.begin(), cut.end());
   return cut;
 }
 
 std::optional<std::vector<SeqCutNode>> ExpandedNetwork::find_cut(int size_limit) {
-  auto cut = find_cut_impl(size_limit, [](const ExpNode&) { return std::int64_t{1}; });
+  if (!viable_) return std::nullopt;
+  capacity_.resize(num_nodes_);
+  for (std::size_t i = 0; i < num_nodes_; ++i) {
+    capacity_[i] = nodes_[i].allowed ? 1 : NodeCut::kInfinity;
+  }
+  auto cut = solve(size_limit);
   TS_ASSERT(!cut.has_value() || static_cast<int>(cut->size()) <= size_limit);
   return cut;
 }
 
 std::optional<std::vector<SeqCutNode>> ExpandedNetwork::find_low_cost_cut(
     int size_limit, const std::function<bool(const SeqCutNode&)>& shared) {
+  if (!viable_) return std::nullopt;
   // Capacity B per node plus 1 for non-shared nodes, with B > size_limit:
   // the min cut is lexicographically (size, #non-shared)-minimal, and a cut
   // of size <= size_limit exists iff max-flow <= (B+1)*size_limit.
   const std::int64_t b = size_limit + 1;
-  auto cut = find_cut_impl((b + 1) * size_limit, [&](const ExpNode& n) {
-    return b + (shared(n.id) ? 0 : 1);
-  });
+  capacity_.resize(num_nodes_);
+  for (std::size_t i = 0; i < num_nodes_; ++i) {
+    const ExpNode& n = nodes_[i];
+    capacity_[i] = n.allowed ? b + (shared(n.id) ? 0 : 1) : NodeCut::kInfinity;
+  }
+  auto cut = solve((b + 1) * size_limit);
   if (cut.has_value() && static_cast<int>(cut->size()) > size_limit) return std::nullopt;
   return cut;
 }
@@ -258,16 +239,17 @@ TruthTable ExpandedNetwork::cut_function(std::span<const SeqCutNode> cut) const 
   for (int i = 0; i < arity; ++i) {
     memo.emplace(pack(cut[static_cast<std::size_t>(i)]), TruthTable::var(arity, i));
   }
-  auto eval = [&](auto&& self, const ExpNode& n) -> const TruthTable& {
+  auto eval = [&](auto&& self, std::size_t i) -> const TruthTable& {
+    const ExpNode& n = nodes_[i];
     const auto it = memo.find(pack(n.id));
     if (it != memo.end()) return it->second;
     TS_CHECK(circuit_->is_gate(n.id.node) && n.expanded,
              "cut does not cover every path to the root");
     std::vector<TruthTable> inputs;
-    inputs.reserve(static_cast<std::size_t>(n.fanin_end - n.fanin_begin));
-    for (std::int32_t s = n.fanin_begin; s < n.fanin_end; ++s) {
+    inputs.reserve(static_cast<std::size_t>(fanin_end_[i] - fanin_begin_[i]));
+    for (std::int32_t s = fanin_begin_[i]; s < fanin_end_[i]; ++s) {
       inputs.push_back(
-          self(self, nodes_[static_cast<std::size_t>(fanin_pool_[static_cast<std::size_t>(s)])]));
+          self(self, static_cast<std::size_t>(fanin_pool_[static_cast<std::size_t>(s)])));
     }
     TruthTable result = inputs.empty()
                             ? circuit_->function(n.id.node).remap(arity, {})
@@ -276,7 +258,7 @@ TruthTable ExpandedNetwork::cut_function(std::span<const SeqCutNode> cut) const 
   };
   const int root_idx = find_index(pack(SeqCutNode{root_, 0}));
   TS_ASSERT(root_idx >= 0);
-  return eval(eval, nodes_[static_cast<std::size_t>(root_idx)]);
+  return eval(eval, static_cast<std::size_t>(root_idx));
 }
 
 }  // namespace turbosyn

@@ -28,12 +28,20 @@
 // LUT boots to f(0..0) = 1 where the original read 0, and on loops that
 // never resynchronize the difference persists at every cycle.
 //
+// Cut tests run on the node-capacity kernel of graph/node_cut.hpp directly
+// over the expansion's fanin pool: each copy is one node of that network
+// (implicitly split into in/out halves), the root's in-half is the sink, and
+// unexpanded copies (PI copies and the frontier) hang off the source. The
+// kernel reports the nodes whose in-half is reachable from the source in the
+// residual graph and whose out-half is not; that set is the same for every
+// maximum flow, so the cut is a function of the network alone.
+//
 // One ExpandedNetwork instance is rebuildable: build() re-targets it to a
 // new (root, height) query while keeping every internal buffer — the node
-// store, the open-addressing (node, w) index, the BFS worklist and the whole
-// Dinic state — so the label computation's per-gate cut test allocates
-// nothing in steady state. CutScratch bundles one such instance as the
-// label engine's scratch arena.
+// store, the open-addressing (node, w) index, the BFS worklist and the
+// kernel's flow arrays — so the label computation's per-gate cut test
+// allocates nothing in steady state. CutScratch bundles one such instance as
+// the label engine's scratch arena.
 
 #include <cstdint>
 #include <functional>
@@ -42,7 +50,7 @@
 #include <vector>
 
 #include "base/truth_table.hpp"
-#include "graph/max_flow.hpp"
+#include "graph/node_cut.hpp"
 #include "netlist/circuit.hpp"
 
 namespace turbosyn {
@@ -116,6 +124,18 @@ class ExpandedNetwork {
   /// expansion and capacity decisions depend on no other label.
   SeqCutNode copy(int i) const { return nodes_[static_cast<std::size_t>(i)].id; }
 
+  /// True iff copy i was expanded (its fanins materialized). Unexpanded
+  /// copies — PI copies and the frontier — feed from the flow source.
+  bool expanded(int i) const { return nodes_[static_cast<std::size_t>(i)].expanded; }
+
+  /// Fanins of copy i as copy indices; empty unless expanded(i).
+  std::span<const std::int32_t> fanins(int i) const {
+    const std::size_t u = static_cast<std::size_t>(i);
+    return std::span<const std::int32_t>(fanin_pool_).subspan(
+        static_cast<std::size_t>(fanin_begin_[u]),
+        static_cast<std::size_t>(fanin_end_[u] - fanin_begin_[u]));
+  }
+
   /// True iff the current query interned a register-crossed copy (w > 0).
   /// When false, every effective height equals a plain label, so the whole
   /// network — and any cut verdict on it — is independent of phi as long as
@@ -127,11 +147,6 @@ class ExpandedNetwork {
     SeqCutNode id;
     bool allowed = false;   // may be a cut node
     bool expanded = false;  // fanins materialized
-    // Fanins as a contiguous [begin, end) run in fanin_pool_: nodes expand
-    // one at a time, so each node's child indices land in one run and the
-    // per-node std::vector (and its per-build clear/regrow) disappears.
-    std::int32_t fanin_begin = 0;
-    std::int32_t fanin_end = 0;
   };
 
   int intern(SeqCutNode id);
@@ -139,10 +154,9 @@ class ExpandedNetwork {
   void index_grow();
   bool allowed(SeqCutNode id) const;
   void expand();
-  /// Shared flow construction: per-node capacities from `capacity_of`,
-  /// acceptance threshold `value_limit` on the max-flow.
-  std::optional<std::vector<SeqCutNode>> find_cut_impl(
-      std::int64_t value_limit, const std::function<std::int64_t(const ExpNode&)>& capacity_of);
+  /// Shared cut query over the capacities already in capacity_: runs the
+  /// kernel with acceptance threshold `value_limit` on the max-flow.
+  std::optional<std::vector<SeqCutNode>> solve(std::int64_t value_limit);
 
   const Circuit* circuit_ = nullptr;
   std::span<const int> labels_;
@@ -156,14 +170,18 @@ class ExpandedNetwork {
   std::int64_t augmentations_ = 0;
 
   // Node store: slots [0, num_nodes_) are live for the current query; the
-  // vector is never shrunk. Fanin indices live in the shared flat pool.
+  // vectors are never shrunk. Each copy's fanins are the contiguous run
+  // fanin_pool_[fanin_begin_[i], fanin_end_[i]): copies expand one at a
+  // time, so each one's child indices land in one run, and these three
+  // arrays are the fanin CSR the cut kernel reads as is.
   std::vector<ExpNode> nodes_;
   std::size_t num_nodes_ = 0;
+  std::vector<std::int32_t> fanin_begin_;
+  std::vector<std::int32_t> fanin_end_;
   std::vector<std::int32_t> fanin_pool_;
-  // High-water marks of the scratch vectors across builds; build() reserves
-  // them up front so repeated cut tests stop reallocating mid-query.
+  // High-water mark of the node count across builds; build() reserves the
+  // worklists up front so repeated cut tests stop reallocating mid-query.
   std::size_t hw_nodes_ = 0;
-  std::size_t hw_cut_side_ = 0;
 
   // Open-addressing packed-(node, w) -> index map with O(1) epoch clearing.
   struct IndexSlot {
@@ -175,17 +193,16 @@ class ExpandedNetwork {
   std::uint32_t index_epoch_ = 0;
   std::size_t index_size_ = 0;  // live entries this epoch
 
-  // Reused expansion worklist and flow-network buffers.
+  // Reused expansion worklist and cut-kernel inputs and state.
   std::vector<int> slack_;
   std::vector<int> bfs_queue_;
-  MaxFlow flow_;
-  std::vector<int> in_id_;
-  std::vector<int> out_id_;
-  std::vector<bool> cut_side_;
+  std::vector<std::int64_t> capacity_;
+  std::vector<std::uint8_t> role_;
+  NodeCut kernel_;
 };
 
 /// Scratch arena for the label-computation hot path: a reusable
-/// ExpandedNetwork (node store, hash index, worklists, Dinic state) plus the
+/// ExpandedNetwork (node store, hash index, worklists, cut kernel) plus the
 /// epoch-cleared buffers of the PLD isolation check. Thread one through
 /// label_update()/realize_node() to make repeated cut tests allocation-free;
 /// each concurrent thread needs its own instance.

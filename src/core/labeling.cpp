@@ -286,7 +286,7 @@ bool scc_isolated(const CsrTopology& topo, std::span<const int> labels, int phi,
 }  // namespace
 
 LabelEngine::LabelEngine(const Circuit& c, const LabelOptions& options)
-    : c_(c), options_(options) {
+    : c_(c), options_(options), num_gates_(c.num_gates()) {
   TS_CHECK(c.is_k_bounded(options.k), "label computation requires a k-bounded circuit");
   const std::size_t n = static_cast<std::size_t>(c.num_nodes());
   cache_.per_node.resize(n);
@@ -426,7 +426,7 @@ LabelEngine::CompOutcome LabelEngine::process_comp_sequential(int comp, int phi,
   // PLD: the theorem's 6n bound with n = SCC size. Without PLD: the prior
   // criterion of n^2 iterations with n = circuit size (paper Section 4).
   const std::int64_t n = static_cast<std::int64_t>(gates.size());
-  const std::int64_t total = std::max<std::int64_t>(2, c_.num_gates());
+  const std::int64_t total = std::max<std::int64_t>(2, num_gates_);
   const std::int64_t criterion_cap = options_.use_pld ? 6 * n + 2 : total * total;
   const bool budget_binds = sweep_budget > 0 && sweep_budget < criterion_cap;
   const std::int64_t cap = budget_binds ? sweep_budget : criterion_cap;
@@ -454,7 +454,7 @@ LabelEngine::CompOutcome LabelEngine::process_comp_sequential(int comp, int phi,
       // Kept inside the PLD package so the no-PLD mode stays a faithful
       // n^2-criterion baseline for the ablation benchmark.
       for (const NodeId v : gates) {
-        if (labels[static_cast<std::size_t>(v)] > c_.num_gates() + 1) {
+        if (labels[static_cast<std::size_t>(v)] > num_gates_ + 1) {
           return CompOutcome::kInfeasible;
         }
       }
@@ -492,7 +492,7 @@ LabelEngine::CompOutcome LabelEngine::process_comp_incremental(int comp, int phi
   const std::vector<NodeId>& gates = comp_gates_[static_cast<std::size_t>(comp)];
   const CsrTopology& topo = c_.topology();
   const std::int64_t n = static_cast<std::int64_t>(gates.size());
-  const int label_bound = c_.num_gates() + 1;
+  const int label_bound = num_gates_ + 1;
 
   // Seed: gates whose fanin bound depends on φ directly, gates whose
   // recorded φ-floor this probe undercuts (their cut network can change
@@ -737,7 +737,7 @@ LabelResult LabelEngine::compute(int phi) {
         result.max_po_label =
             std::max(result.max_po_label, result.labels[static_cast<std::size_t>(po)]);
       }
-      result.stats.nodes_skipped = c_.num_gates();
+      result.stats.nodes_skipped = num_gates_;
       return result;
     }
     result.labels = it->second;

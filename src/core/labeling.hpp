@@ -184,6 +184,7 @@ class LabelEngine {
 
   const Circuit& c_;
   LabelOptions options_;
+  int num_gates_ = 0;  // c_.num_gates(), an O(#nodes) count: taken once
   DecompCache cache_;
   SccDecomposition scc_;
   std::vector<std::vector<NodeId>> comp_gates_;  // per component: updatable gates,

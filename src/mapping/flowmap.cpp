@@ -32,6 +32,7 @@ FlowMapResult flowmap(const Circuit& c, const FlowMapOptions& options) {
   std::vector<int> label(static_cast<std::size_t>(c.num_nodes()), 0);
 
   const Digraph g = c.to_digraph();
+  ConeCutScratch scratch;
   for (const NodeId t : topological_order(g)) {
     NodeMapping& m = result.nodes[static_cast<std::size_t>(t)];
     if (c.is_pi(t)) continue;
@@ -51,7 +52,7 @@ FlowMapResult flowmap(const Circuit& c, const FlowMapOptions& options) {
       p = std::max(p, label[static_cast<std::size_t>(c.edge(e).from)]);
     }
     // Try l(t) = p with a K-feasible cut of height <= p-1.
-    if (auto cut = min_height_cut(c, t, label, p - 1, options.k)) {
+    if (auto cut = min_height_cut(c, t, label, p - 1, options.k, &scratch)) {
       m.label = p;
       m.cut = std::move(*cut);
     } else if (options.enable_decomposition) {
@@ -59,7 +60,7 @@ FlowMapResult flowmap(const Circuit& c, const FlowMapOptions& options) {
       // and resynthesize the cut function.
       m.label = p + 1;
       for (int h = p - 1; h >= p - options.min_cut_height_span && h >= 0; --h) {
-        const auto wide = min_height_cut(c, t, label, h, options.cmax);
+        const auto wide = min_height_cut(c, t, label, h, options.cmax, &scratch);
         if (!wide) break;  // cuts only get wider as the height shrinks
         const TruthTable f = cone_truth_table(c, t, *wide);
         std::vector<int> eff(wide->size());

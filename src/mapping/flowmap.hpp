@@ -5,10 +5,12 @@
 //
 // Both run on a purely combinational circuit (all edge weights 0). Labels:
 // l(PI) = 0; for a gate t with p = max fanin label, l(t) = p if a K-feasible
-// cut of height <= p-1 exists (max-flow test), else p+1 — unless FlowSYN
-// resynthesis finds a wide min-cut (size <= Cmax) whose function decomposes
-// into K-LUTs with the critical inputs kept in the free set, which also
-// achieves l(t) = p.
+// cut of height <= p-1 exists, else p+1 — unless FlowSYN resynthesis finds a
+// wide min-cut (size <= Cmax) whose function decomposes into K-LUTs with the
+// critical inputs kept in the free set, which also achieves l(t) = p. The
+// cut tests are min_height_cut (mapping/cone_cut.hpp), one call of the
+// node-capacity kernel of graph/node_cut.hpp per test, with one reused
+// scratch per flowmap() pass.
 
 #include <optional>
 #include <vector>

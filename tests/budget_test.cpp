@@ -14,8 +14,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "base/budget_cli.hpp"
 #include "base/rng.hpp"
 #include "base/run_budget.hpp"
 #include "base/thread_pool.hpp"
@@ -258,6 +261,47 @@ TEST(ThreadPoolBudget, CancellationDrainsWithoutRunningRemainingItems) {
   // the cancellation.
   EXPECT_GE(executed.load(), 1);
   EXPECT_LE(executed.load(), pool.num_workers() + 1);
+}
+
+// ---- budget_cli: strict flag values ----
+
+RunBudget budget_from_args(std::vector<std::string> args) {
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return budget_from_cli(static_cast<int>(argv.size()), argv.data());
+}
+
+void expect_rejected(const std::string& flag, const std::string& value) {
+  EXPECT_EXIT(budget_from_args({flag, value}), ::testing::ExitedWithCode(2),
+              flag + " expects a non-negative integer, got '" + value + "'");
+}
+
+TEST(BudgetCli, ParsesIntegerFlags) {
+  const RunBudget b = budget_from_args(
+      {"--bdd-node-budget", "64", "positional", "--flow-augment-budget", "3"});
+  EXPECT_EQ(b.bdd_node_budget(), 64u);
+  EXPECT_EQ(b.flow_augment_budget(), 3);
+}
+
+TEST(BudgetCliDeathTest, DeadlineMsRejectsNonIntegerAndNegative) {
+  expect_rejected("--deadline-ms", "abc");
+  expect_rejected("--deadline-ms", "-5");
+}
+
+TEST(BudgetCliDeathTest, BddNodeBudgetRejectsNonIntegerAndNegative) {
+  expect_rejected("--bdd-node-budget", "12x");
+  expect_rejected("--bdd-node-budget", "-1");
+}
+
+TEST(BudgetCliDeathTest, DecompAttemptBudgetRejectsNonIntegerAndNegative) {
+  expect_rejected("--decomp-attempt-budget", "many");
+  expect_rejected("--decomp-attempt-budget", "-3");
+}
+
+TEST(BudgetCliDeathTest, FlowAugmentBudgetRejectsNonIntegerAndNegative) {
+  expect_rejected("--flow-augment-budget", "1.5");
+  expect_rejected("--flow-augment-budget", "-2");
 }
 
 }  // namespace

@@ -20,9 +20,10 @@ Two families of values are gated, with separate tolerances:
     noise floor (default 1 ms) are reported but never gated: a stage that
     takes tens of microseconds jitters far more than 25% between runs
     without anything having regressed. Benchmarks matching
-    ``--noisy-pattern`` (default: the multi-threaded ``process_time``
-    variants, whose wall time is scheduler-bound) get the wider
-    ``--noisy-time-tolerance`` instead (default 60%).
+    ``--noisy-pattern`` (default: ``BM_Portfolio/1/``, the concurrent
+    portfolio race, whose wall time is scheduler-bound) get the wider
+    ``--noisy-time-tolerance`` instead (default 60%). The single-threaded
+    ``process_time`` variants keep the regular tolerance.
   * algorithm counters — every other user counter (probe counts, labels
     computed, cache hits, ...). These are deterministic replays of the same
     workload, so even a small growth is a real regression (default 5%).
@@ -218,9 +219,9 @@ def main(argv):
     parser.add_argument("--time-noise-floor-ms", type=float, default=1.0,
                         help="wall-time measurements where both sides are below this "
                              "many milliseconds are reported but not gated (default 1.0)")
-    parser.add_argument("--noisy-pattern", default=r"process_time",
+    parser.add_argument("--noisy-pattern", default=r"BM_Portfolio/1/",
                         help="regex for benchmarks whose wall time is scheduler-bound "
-                             "(default: the multi-threaded process_time variants)")
+                             "(default: the concurrent portfolio race, BM_Portfolio/1/)")
     parser.add_argument("--noisy-time-tolerance", type=float, default=0.60,
                         help="wall-time tolerance for --noisy-pattern matches (default 0.60)")
     parser.add_argument("--deltas-json", metavar="PATH",
