@@ -292,6 +292,11 @@ void set_flow_counters(benchmark::State& state, const FlowResult& r) {
       benchmark::Counter(static_cast<double>(r.stats.nodes_skipped));
   state.counters["dirty_rounds"] =
       benchmark::Counter(static_cast<double>(r.stats.dirty_rounds));
+  state.counters["decomp_attempts"] =
+      benchmark::Counter(static_cast<double>(r.stats.decomp_attempts));
+  state.counters["cut_fn_hits"] = benchmark::Counter(static_cast<double>(r.stats.cut_fn_hits));
+  state.counters["cut_fn_misses"] =
+      benchmark::Counter(static_cast<double>(r.stats.cut_fn_misses));
   state.counters["flow_seconds"] = benchmark::Counter(r.seconds);
   for (const char* counter : {"retime_configs", "retime_solves", "retime_bf_rounds"}) {
     std::int64_t total = 0;

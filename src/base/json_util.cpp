@@ -194,7 +194,8 @@ bool parse_flat_json_object(std::string_view line,
                             std::vector<std::pair<std::string, JsonScalar>>& fields,
                             std::string* error) {
   fields.clear();
-  Cursor c{line};
+  Cursor c;
+  c.text = line;
   const auto report = [&](bool ok) {
     if (!ok && error != nullptr) *error = c.error.empty() ? "malformed object" : c.error;
     return ok;

@@ -124,6 +124,9 @@ void FlowDriver::run(Stage& stage) {
               after.flow_augmentations - before.flow_augmentations);
   add_counter(metric, "decomp_attempts", after.decomp_attempts - before.decomp_attempts);
   add_counter(metric, "decomp_cache_hits", after.cache_hits - before.cache_hits);
+  add_counter(metric, "cut_fn_hits", after.cut_fn_hits - before.cut_fn_hits);
+  add_counter(metric, "cut_fn_misses", after.cut_fn_misses - before.cut_fn_misses);
+  add_counter(metric, "cut_fn_bytes", after.cut_fn_bytes - before.cut_fn_bytes);
   add_counter(metric, "dirty_rounds", after.dirty_rounds - before.dirty_rounds);
   add_counter(metric, "nodes_skipped", after.nodes_skipped - before.nodes_skipped);
   for (const auto& [name, value] : metric.counters) span.counter(name, value);
@@ -184,6 +187,9 @@ LabelResult ledger_probe(FlowContext& ctx, LabelEngine& engine, LabelMode mode, 
   span.counter("flow_augmentations", r.stats.flow_augmentations);
   span.counter("decomp_attempts", r.stats.decomp_attempts);
   span.counter("decomp_cache_hits", r.stats.cache_hits);
+  span.counter("cut_fn_hits", r.stats.cut_fn_hits);
+  span.counter("cut_fn_misses", r.stats.cut_fn_misses);
+  span.counter("cut_fn_bytes", r.stats.cut_fn_bytes);
   span.counter("dirty_rounds", r.stats.dirty_rounds);
   span.counter("nodes_skipped", r.stats.nodes_skipped);
   span.counter("incremental", rec.incremental ? 1 : 0);

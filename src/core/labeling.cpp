@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "base/check.hpp"
 #include "graph/scc.hpp"
@@ -33,6 +34,15 @@ DecompOptions decomp_options(const LabelOptions& options) {
   return d;
 }
 
+void hash_mix(std::uint64_t& h, std::uint64_t x) {
+  h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+}
+
+std::uint64_t pack_copy(const SeqCutNode& n) {
+  return static_cast<std::uint64_t>(static_cast<std::uint32_t>(n.node)) << 32 |
+         static_cast<std::uint32_t>(n.w);
+}
+
 /// Signature of one decomposition attempt: the cut, the inputs' effective
 /// labels, and the target height fully determine the (deterministic) outcome
 /// of decompose_for_label, so verdicts memoized under this key stay valid
@@ -40,14 +50,16 @@ DecompOptions decomp_options(const LabelOptions& options) {
 std::uint64_t attempt_signature(std::span<const SeqCutNode> cut, std::span<const int> eff,
                                 int height) {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ static_cast<std::uint64_t>(height);
-  const auto mix = [&h](std::uint64_t x) {
-    h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
   for (std::size_t i = 0; i < cut.size(); ++i) {
-    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(cut[i].node)) << 32 |
-        static_cast<std::uint32_t>(cut[i].w));
-    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(eff[i])));
+    hash_mix(h, pack_copy(cut[i]));
+    hash_mix(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(eff[i])));
   }
+  return h;
+}
+
+std::uint64_t cut_key_hash(NodeId root, std::span<const SeqCutNode> cut) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ static_cast<std::uint32_t>(root);
+  for (const SeqCutNode& n : cut) hash_mix(h, pack_copy(n));
   return h;
 }
 
@@ -109,8 +121,20 @@ std::optional<NodeRealization> try_decomposition(const Circuit& c, std::span<con
       break;  // the ceiling is per-run: further heights would be refused too
     }
     ++stats.decomp_attempts;
-    const TruthTable f = net.cut_function(*cut);
-    DecompResult d = decompose_for_label(f, eff, height, decomp_options(options));
+    const SupportReduced* f = cache != nullptr ? cache->functions.find(v, *cut) : nullptr;
+    std::optional<SupportReduced> extracted;
+    if (f != nullptr) {
+      ++stats.cut_fn_hits;
+    } else {
+      extracted = reduce_to_support(net.cut_function(*cut));
+      if (cache != nullptr) {
+        ++stats.cut_fn_misses;
+        stats.cut_fn_bytes +=
+            static_cast<std::int64_t>(cache->functions.insert(v, *cut, *extracted));
+      }
+      f = &*extracted;
+    }
+    DecompResult d = decompose_reduced(*f, eff, height, decomp_options(options));
     if (d.budget_limited) {
       ++stats.bdd_budget_hits;
       if (!d.success) degraded = true;
@@ -342,6 +366,38 @@ LabelEngine::LabelEngine(const Circuit& c, const LabelOptions& options)
   read_mark_.assign(n, 0);
 }
 
+const SupportReduced* CutFunctionCache::find(NodeId root,
+                                             std::span<const SeqCutNode> cut) const {
+  const auto [begin, end] = entries_.equal_range(cut_key_hash(root, cut));
+  for (auto it = begin; it != end; ++it) {
+    const Entry& e = it->second;
+    if (e.root == root && std::ranges::equal(e.cut, cut)) return &e.fn;
+  }
+  return nullptr;
+}
+
+std::size_t CutFunctionCache::insert(NodeId root, std::span<const SeqCutNode> cut,
+                                     const SupportReduced& fn) {
+  const std::size_t size = entry_bytes(cut, fn);
+  if (size > max_bytes_) return 0;
+  if (bytes_ + size > max_bytes_) {
+    entries_.clear();
+    bytes_ = 0;
+  }
+  entries_.emplace(cut_key_hash(root, cut),
+                   Entry{root, std::vector<SeqCutNode>(cut.begin(), cut.end()), fn});
+  bytes_ += size;
+  return size;
+}
+
+std::size_t CutFunctionCache::entry_bytes(std::span<const SeqCutNode> cut,
+                                          const SupportReduced& fn) {
+  // The entry itself, its hash key and the hash node's two links.
+  constexpr std::size_t kFixed = sizeof(Entry) + sizeof(std::uint64_t) + 2 * sizeof(void*);
+  return kFixed + cut.size() * sizeof(SeqCutNode) + fn.func.num_words() * sizeof(std::uint64_t) +
+         fn.support.size() * sizeof(int);
+}
+
 void LabelStats::accumulate(const LabelStats& from) {
   sweeps += from.sweeps;
   node_updates += from.node_updates;
@@ -349,6 +405,9 @@ void LabelStats::accumulate(const LabelStats& from) {
   decomp_attempts += from.decomp_attempts;
   decomp_successes += from.decomp_successes;
   cache_hits += from.cache_hits;
+  cut_fn_hits += from.cut_fn_hits;
+  cut_fn_misses += from.cut_fn_misses;
+  cut_fn_bytes += from.cut_fn_bytes;
   flow_augmentations += from.flow_augmentations;
   nodes_skipped += from.nodes_skipped;
   dirty_rounds += from.dirty_rounds;

@@ -28,6 +28,8 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "base/run_budget.hpp"
@@ -78,6 +80,12 @@ struct LabelStats {
   std::int64_t decomp_attempts = 0;  // resynthesis attempts
   std::int64_t decomp_successes = 0;
   std::int64_t cache_hits = 0;           // decomposition-memo hits
+  // Cut-function cache (see CutFunctionCache): attempts that found their
+  // support-reduced cut function cached, attempts that extracted it, and
+  // the bytes those extractions stored (clears do not subtract).
+  std::int64_t cut_fn_hits = 0;
+  std::int64_t cut_fn_misses = 0;
+  std::int64_t cut_fn_bytes = 0;
   std::int64_t flow_augmentations = 0;   // augmenting paths across all cut tests
   // Incremental-recomputation counters (zero on cold/full-sweep probes).
   std::int64_t nodes_skipped = 0;  // gates proven quiescent and skipped
@@ -113,11 +121,57 @@ struct LabelResult {
   LabelStats stats;
 };
 
-/// Memoizes decomposition attempt outcomes across sweeps: the result of
-/// "decompose the min-cut of E_v at this height" only depends on the cut and
-/// its inputs' labels, which repeat heavily between iterations.
+/// Support-reduced cut functions of one circuit, keyed by the root and the
+/// ordered cut copies (node, w). The function of a cut depends only on the
+/// circuit, the root and the cut — not on labels or phi — so an entry stays
+/// valid for as long as the circuit does. Keys are compared in full; the hash
+/// only selects the bucket. The cache holds at most `max_bytes` (as counted
+/// by entry_bytes): an insert that would exceed it first clears every entry,
+/// which is deterministic and changes no result, only the hit count.
+class CutFunctionCache {
+ public:
+  /// Per-engine bound. Never reached on the benchmark circuits: TurboSYN's
+  /// decomposition engine stores at most 0.7 MB on a Table-1 circuit (scf)
+  /// and 3.2 MB on scale4000.
+  static constexpr std::size_t kMaxBytes = std::size_t{16} << 20;
+
+  explicit CutFunctionCache(std::size_t max_bytes = kMaxBytes) : max_bytes_(max_bytes) {}
+
+  /// The stored reduction of root's function over `cut`, or nullptr.
+  const SupportReduced* find(NodeId root, std::span<const SeqCutNode> cut) const;
+  /// Stores a copy of `fn`, which must be reduce_to_support of root's
+  /// function over `cut` (the key must not be present). Returns the bytes the
+  /// entry counts against the bound, or 0 when it alone exceeds the bound
+  /// and is not kept.
+  std::size_t insert(NodeId root, std::span<const SeqCutNode> cut, const SupportReduced& fn);
+
+  std::size_t bytes() const { return bytes_; }
+  std::size_t size() const { return entries_.size(); }
+  /// What one entry counts against the bound: its key, table and support
+  /// payloads plus the fixed per-entry footprint.
+  static std::size_t entry_bytes(std::span<const SeqCutNode> cut, const SupportReduced& fn);
+
+ private:
+  struct Entry {
+    NodeId root = kNoNode;
+    std::vector<SeqCutNode> cut;
+    SupportReduced fn;
+  };
+
+  std::size_t max_bytes_;
+  std::size_t bytes_ = 0;
+  std::unordered_multimap<std::uint64_t, Entry> entries_;  // key hash -> entries
+};
+
+/// The engine's decomposition memos, shared by every probe of one engine:
+/// - per_node: outcomes of decomposition attempts. The result of "decompose
+///   the min-cut of E_v at this height" only depends on the cut and its
+///   inputs' labels, which repeat heavily between iterations.
+/// - functions: the support-reduced function of each (root, cut) an attempt
+///   ran on, so a repeated cut skips extraction and support reduction.
 struct DecompCache {
   std::vector<std::unordered_map<std::uint64_t, bool>> per_node;
+  CutFunctionCache functions;
 };
 
 /// Incremental label computation for a fixed circuit and options.

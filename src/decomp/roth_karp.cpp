@@ -421,32 +421,37 @@ class DecompSearch {
 
 }  // namespace
 
+SupportReduced reduce_to_support(const TruthTable& f) {
+  SupportReduced r;
+  r.func = f;
+  r.support = f.support();
+  r.arity = f.num_vars();
+  for (int v = f.num_vars() - 1; v >= 0; --v) {
+    if (!std::binary_search(r.support.begin(), r.support.end(), v)) r.func = r.func.drop_var(v);
+  }
+  return r;
+}
+
 DecompResult decompose_for_label(const TruthTable& f, std::span<const int> eff_labels,
                                  int target_label, const DecompOptions& options) {
+  return decompose_reduced(reduce_to_support(f), eff_labels, target_label, options);
+}
+
+DecompResult decompose_reduced(const SupportReduced& f, std::span<const int> eff_labels,
+                               int target_label, const DecompOptions& options) {
   TS_CHECK(options.k >= 2, "LUT size must be at least 2");
-  TS_CHECK(static_cast<int>(eff_labels.size()) == f.num_vars(),
+  TS_CHECK(static_cast<int>(eff_labels.size()) == f.arity,
            "one effective label per input required");
 
-  DecompResult result;
-
-  // Restrict to the support: min-cuts can include inputs the cut function
-  // does not actually depend on.
-  TruthTable current = f;
   std::vector<Signal> signals;
-  {
-    const std::vector<int> support = current.support();
-    for (const int v : support) {
-      signals.push_back(Signal{eff_labels[static_cast<std::size_t>(v)], DecompFanin::input(v)});
-    }
-    for (int v = f.num_vars() - 1; v >= 0; --v) {
-      if (!std::binary_search(support.begin(), support.end(), v)) {
-        current = current.drop_var(v);
-      }
-    }
+  signals.reserve(f.support.size());
+  for (const int v : f.support) {
+    signals.push_back(Signal{eff_labels[static_cast<std::size_t>(v)], DecompFanin::input(v)});
   }
 
+  DecompResult result;
   DecompSearch search(target_label, options);
-  result.success = search.solve(current, std::move(signals), result.luts);
+  result.success = search.solve(f.func, std::move(signals), result.luts);
   result.achieved_label = search.achieved();
   result.budget_limited = search.budget_limited();
   if (!result.success) result.luts.clear();

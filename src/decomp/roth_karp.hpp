@@ -78,10 +78,31 @@ struct DecompOptions {
   std::size_t bdd_node_budget = 0;
 };
 
+/// A function restricted to the inputs it depends on: variable i of `func`
+/// is input support[i] of the original function (support is ascending), and
+/// `arity` is the original input count.
+struct SupportReduced {
+  TruthTable func;
+  std::vector<int> support;
+  int arity = 0;
+};
+
+/// Drops every input f does not depend on (min-cuts can include such inputs).
+SupportReduced reduce_to_support(const TruthTable& f);
+
 /// Attempts to realize f as a DAG of K-LUTs meeting `target_label`.
 /// eff_labels[i] is the effective label of input variable i of f.
+/// Equivalent to decompose_reduced(reduce_to_support(f), ...).
 DecompResult decompose_for_label(const TruthTable& f, std::span<const int> eff_labels,
                                  int target_label, const DecompOptions& options);
+
+/// The search step of decompose_for_label, over an already reduced function:
+/// eff_labels[i] is the effective label of original input i (one per input of
+/// the unreduced function), and DecompFanin::input indices in the result refer
+/// to original inputs. Callers that see the same function repeatedly reduce it
+/// once and keep the reduction.
+DecompResult decompose_reduced(const SupportReduced& f, std::span<const int> eff_labels,
+                               int target_label, const DecompOptions& options);
 
 /// Column classes of f for the bound set = variables 0..boundary-1.
 struct ColumnClasses {

@@ -280,7 +280,10 @@ TEST(FlowCacheNearMiss, DisabledIncrementalAndForeignSketchSkipSeeding) {
 class FlowCacheEntryFile : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = test_dir("entry_file");
+    // One directory per test: ctest runs each test as its own process, and
+    // under -j concurrent tests would otherwise overwrite each other's entry.
+    dir_ = test_dir(std::string("entry_file_") +
+                    ::testing::UnitTest::GetInstance()->current_test_info()->name());
     circuit_ = read_blif_string(counter3_blif());
     options_ = small_options();
     key_ = make_cache_key(circuit_, options_, FlowKind::kTurboSyn);

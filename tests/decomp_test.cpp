@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
+
 #include "base/check.hpp"
 #include "base/rng.hpp"
 #include "bdd/bdd.hpp"
@@ -224,6 +228,87 @@ TEST(RothKarp, NonSupportInputsAreDropped) {
   ASSERT_TRUE(r.success);
   EXPECT_EQ(r.achieved_label, 1);
   EXPECT_TRUE(decomposition_matches(r, f));
+}
+
+/// Expects b to be a's result with every input index i renamed to
+/// input_map[i] (identity when input_map is empty).
+void expect_same_decomposition(const DecompResult& a, const DecompResult& b,
+                               std::span<const int> input_map, const std::string& where) {
+  EXPECT_EQ(a.success, b.success) << where;
+  EXPECT_EQ(a.achieved_label, b.achieved_label) << where;
+  EXPECT_EQ(a.budget_limited, b.budget_limited) << where;
+  ASSERT_EQ(a.luts.size(), b.luts.size()) << where;
+  for (std::size_t i = 0; i < a.luts.size(); ++i) {
+    EXPECT_EQ(a.luts[i].func, b.luts[i].func) << where << " lut " << i;
+    ASSERT_EQ(a.luts[i].fanins.size(), b.luts[i].fanins.size()) << where << " lut " << i;
+    for (std::size_t j = 0; j < a.luts[i].fanins.size(); ++j) {
+      DecompFanin expected = a.luts[i].fanins[j];
+      if (expected.kind == DecompFanin::Kind::kInput && !input_map.empty()) {
+        expected.index = input_map[static_cast<std::size_t>(expected.index)];
+      }
+      EXPECT_EQ(expected, b.luts[i].fanins[j]) << where << " lut " << i << " fanin " << j;
+    }
+  }
+}
+
+// The label engine caches reduce_to_support of each cut function and runs
+// decompose_reduced on it. On functions with don't-care inputs that must be
+// decompose_for_label's result, and both must equal the search over the
+// support-only function with its inputs renamed to their positions.
+TEST(RothKarp, ReducedSearchMatchesDecomposeForLabel) {
+  Rng rng(4049);
+  int successes = 0;
+  int failures = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const int real = static_cast<int>(rng.next_in(3, 10));
+    const int m = real + static_cast<int>(rng.next_in(1, 5));
+    // g over `real` inputs from random blocks of at most three inputs, so
+    // that a decomposition often exists.
+    std::vector<TruthTable> blocks;
+    for (int v = 0; v < real; v += 3) {
+      const int width = std::min(3, real - v);
+      std::vector<TruthTable> vars;
+      for (int i = 0; i < width; ++i) vars.push_back(TruthTable::var(real, v + i));
+      blocks.push_back(compose(random_tt(rng, width), vars));
+    }
+    const TruthTable g = compose(random_tt(rng, static_cast<int>(blocks.size())), blocks);
+    if (static_cast<int>(g.support().size()) != real) continue;
+    // f: g's inputs at a sorted random subset of m positions, the rest
+    // don't-care inputs with junk labels.
+    std::vector<int> pos = random_map(rng, real, m);
+    std::sort(pos.begin(), pos.end());
+    const TruthTable f = g.remap(m, pos);
+
+    const SupportReduced reduced = reduce_to_support(f);
+    EXPECT_EQ(reduced.func, g);
+    EXPECT_EQ(reduced.support, pos);
+    EXPECT_EQ(reduced.arity, m);
+
+    std::vector<int> eff(static_cast<std::size_t>(m));
+    for (auto& e : eff) e = static_cast<int>(rng.next_in(0, 3));
+    std::vector<int> eff_real;
+    for (const int p : pos) eff_real.push_back(eff[static_cast<std::size_t>(p)]);
+    const int target =
+        *std::max_element(eff.begin(), eff.end()) + static_cast<int>(rng.next_in(0, 3));
+    DecompOptions opt;
+    opt.k = static_cast<int>(rng.next_in(3, 5));
+
+    const std::string where = "trial " + std::to_string(trial);
+    const DecompResult one_step = decompose_for_label(f, eff, target, opt);
+    const DecompResult two_step = decompose_reduced(reduced, eff, target, opt);
+    expect_same_decomposition(one_step, two_step, {}, where);
+    expect_same_decomposition(decompose_for_label(g, eff_real, target, opt), one_step, pos,
+                              where);
+    if (one_step.success) {
+      ++successes;
+      EXPECT_TRUE(decomposition_matches(one_step, f)) << where;
+    } else {
+      ++failures;
+    }
+  }
+  // Both verdicts must be exercised for the comparison to mean anything.
+  EXPECT_GE(successes, 10);
+  EXPECT_GE(failures, 10);
 }
 
 TEST(RothKarp, BothEnginesProduceEquivalentResults) {

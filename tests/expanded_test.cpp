@@ -87,7 +87,9 @@ TEST(Expanded, LoopUnrollsWithIncreasingRegisterCounts) {
   const auto cut = net.find_cut(15);
   ASSERT_TRUE(cut.has_value());
   for (const SeqCutNode& n : *cut) {
-    if (n.node == g2 || n.node == c.find("g1")) EXPECT_GE(n.w, 1);
+    if (n.node == g2 || n.node == c.find("g1")) {
+      EXPECT_GE(n.w, 1);
+    }
   }
 }
 
@@ -144,7 +146,9 @@ TEST(Expanded, LowCostNeverExceedsMinCutSize) {
     ExpandedNetwork weighted(c, labels, 2, g, 1, ExpandedOptions{});
     const auto lc = weighted.find_low_cost_cut(6, [](const SeqCutNode&) { return false; });
     ASSERT_EQ(min_cut.has_value(), lc.has_value());
-    if (min_cut) EXPECT_EQ(min_cut->size(), lc->size());
+    if (min_cut) {
+      EXPECT_EQ(min_cut->size(), lc->size());
+    }
   }
 }
 

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <random>
 
+#include "base/check.hpp"
 #include "base/rng.hpp"
 #include "core/flows.hpp"
 #include "netlist/blif.hpp"
@@ -188,6 +190,86 @@ TEST(Flows, TurboSynS1MatchesSequentialSweep) {
   EXPECT_EQ(r.luts, 417);
   EXPECT_EQ(r.ffs, 47);
   EXPECT_EQ(fnv1a64(write_blif_string(r.mapped)), 0x7a32803240bee283ULL);
+}
+
+/// `a` with every multi-input gate computing the parity of its fanins: the
+/// same nodes, edges and registers, hence the same (root, cut) pairs, with
+/// other cut functions.
+Circuit with_parity_gates(const Circuit& a) {
+  Circuit b;
+  for (NodeId v = 0; v < a.num_nodes(); ++v) {
+    NodeId id = kNoNode;
+    if (a.is_pi(v)) {
+      id = b.add_pi(a.name(v));
+    } else if (a.is_gate(v)) {
+      id = b.declare_gate(a.name(v));
+    } else {
+      const Circuit::Edge& e = a.edge(a.fanin_edges(v)[0]);
+      TS_CHECK(e.from < v, "PO driver must precede the PO");
+      id = b.add_po(a.name(v), {e.from, e.weight});
+    }
+    TS_CHECK(id == v, "node ids must carry over");
+  }
+  for (NodeId v = 0; v < a.num_nodes(); ++v) {
+    if (!a.is_gate(v)) continue;
+    std::vector<Circuit::FaninSpec> fanins;
+    for (const EdgeId e : a.fanin_edges(v)) fanins.push_back({a.edge(e).from, a.edge(e).weight});
+    const int n = static_cast<int>(fanins.size());
+    TruthTable f = a.function(v);
+    if (n >= 2) {
+      f = TruthTable::var(n, 0);
+      for (int i = 1; i < n; ++i) f = f ^ TruthTable::var(n, i);
+    }
+    b.finish_gate(v, f, fanins);
+  }
+  b.validate();
+  return b;
+}
+
+// Everything a label engine caches lives and dies with the engine; nothing
+// may be keyed on a circuit's address. Circuit B (circuit A with other gate
+// functions, so the same (root, cut) pairs carry other cut functions) is
+// built in the storage A vacated after A's engine and flow ran, and must
+// label and map exactly like a fresh B. B's result is also pinned, so a
+// cache shared by every run of the process cannot pass by polluting the
+// fresh run the same way.
+TEST(Flows, CircuitInReusedStorageMatchesAFreshRun) {
+  const BenchmarkSpec spec = tiny_suite()[1];
+  FlowOptions opt;
+  opt.collect_artifacts = true;
+  const LabelOptions lopts = opt.label_options(/*enable_decomposition=*/true);
+  constexpr int kPhiB = 2;
+
+  std::optional<Circuit> slot;
+  slot.emplace(generate_fsm_circuit(spec));
+  {
+    LabelEngine engine_a(*slot, lopts);
+    (void)engine_a.compute(kPhiB);
+    (void)run_turbosyn(*slot, opt);
+  }
+  slot.reset();
+  slot.emplace(with_parity_gates(generate_fsm_circuit(spec)));
+  LabelEngine engine_b(*slot, lopts);
+  const LabelResult labels = engine_b.compute(kPhiB);
+  const FlowResult r = run_turbosyn(*slot, opt);
+  ASSERT_EQ(r.status, Status::kOk);
+  EXPECT_GT(r.stats.cut_fn_misses, 0);  // B's flow does extract cut functions
+
+  const Circuit fresh_b = with_parity_gates(generate_fsm_circuit(spec));
+  const LabelResult expected_labels = compute_labels(fresh_b, kPhiB, lopts);
+  const FlowResult expected = run_turbosyn(fresh_b, opt);
+  EXPECT_EQ(labels.feasible, expected_labels.feasible);
+  EXPECT_EQ(labels.labels, expected_labels.labels);
+  EXPECT_EQ(r.phi, expected.phi);
+  EXPECT_EQ(r.artifacts.labels.labels, expected.artifacts.labels.labels);
+  EXPECT_EQ(r.luts, expected.luts);
+  EXPECT_EQ(r.ffs, expected.ffs);
+  const std::uint64_t hash = fnv1a64(write_blif_string(r.mapped));
+  EXPECT_EQ(hash, fnv1a64(write_blif_string(expected.mapped)));
+  EXPECT_EQ(r.phi, kPhiB);
+  EXPECT_EQ(r.luts, 17);
+  EXPECT_EQ(r.ffs, 11);
+  EXPECT_EQ(hash, 0xe7bc56130a4eefa5ULL);
 }
 
 TEST(Flows, TruthTableEngineMatchesBddEngine) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "base/check.hpp"
 #include "core/expanded.hpp"
 #include "core/labeling.hpp"
@@ -257,7 +260,9 @@ TEST(Labeling, EngineIsConsistentUnderArbitraryProbeOrder) {
     const LabelResult warm = engine.compute(phi);
     const LabelResult cold = compute_labels(c, phi, lo);
     ASSERT_EQ(warm.feasible, cold.feasible) << "phi=" << phi;
-    if (cold.feasible) EXPECT_EQ(warm.labels, cold.labels) << "phi=" << phi;
+    if (cold.feasible) {
+      EXPECT_EQ(warm.labels, cold.labels) << "phi=" << phi;
+    }
   }
 }
 
@@ -272,6 +277,82 @@ TEST(Labeling, ScratchReuseIsDeterministic) {
   const LabelResult second = engine.compute(2);
   ASSERT_EQ(first.feasible, second.feasible);
   EXPECT_EQ(first.labels, second.labels);
+}
+
+// The cut-function cache under bounds too small for what it is fed: its byte
+// count never exceeds the bound (overflow clears it, an entry larger than
+// the bound is not kept), and every function and support it returns equals
+// the reduction of the cut function extracted afresh.
+TEST(CutFunctionCache, TinyBoundKeepsEveryReturnedEntryExact) {
+  struct Item {
+    NodeId root;
+    std::vector<SeqCutNode> cut;
+    SupportReduced fn;
+  };
+  std::vector<Item> items;
+  LabelOptions lo = turbomap_options(5);
+  lo.enable_decomposition = true;
+  for (const auto& spec : tiny_suite()) {
+    const Circuit c = generate_fsm_circuit(spec);
+    const int phi = 3;
+    const LabelResult r = compute_labels(c, phi, lo);
+    if (!r.feasible) continue;
+    ExpandedNetwork net;
+    for (NodeId v = 0; v < c.num_nodes(); ++v) {
+      if (!c.is_gate(v) || c.fanin_edges(v).empty()) continue;
+      for (int h = 0; h < 3; ++h) {
+        net.build(c, r.labels, phi, v, r.labels[static_cast<std::size_t>(v)] - h, lo.expansion);
+        const auto cut = net.find_cut(lo.cmax);
+        if (!cut) continue;
+        items.push_back(Item{v, *cut, reduce_to_support(net.cut_function(*cut))});
+      }
+    }
+    if (items.size() >= 200) break;
+  }
+  ASSERT_GE(items.size(), 50u);
+  std::size_t smallest = std::numeric_limits<std::size_t>::max();
+  std::size_t largest = 0;
+  for (const Item& it : items) {
+    const std::size_t b = CutFunctionCache::entry_bytes(it.cut, it.fn);
+    smallest = std::min(smallest, b);
+    largest = std::max(largest, b);
+  }
+  ASSERT_LT(smallest, largest);  // so the first bound rejects some entries
+
+  for (const std::size_t bound : {largest - 1, 4 * largest}) {
+    CutFunctionCache cache(bound);
+    std::int64_t clears = 0;
+    std::int64_t rejected = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const Item& it : items) {
+        if (const SupportReduced* f = cache.find(it.root, it.cut)) {
+          EXPECT_EQ(f->func, it.fn.func);
+          EXPECT_EQ(f->support, it.fn.support);
+          EXPECT_EQ(f->arity, it.fn.arity);
+          continue;
+        }
+        const std::size_t size_before = cache.size();
+        const std::size_t counted = cache.insert(it.root, it.cut, it.fn);
+        EXPECT_LE(cache.bytes(), bound);
+        if (counted == 0) {
+          ++rejected;
+          EXPECT_GT(CutFunctionCache::entry_bytes(it.cut, it.fn), bound);
+          EXPECT_EQ(cache.find(it.root, it.cut), nullptr);
+          continue;
+        }
+        EXPECT_EQ(counted, CutFunctionCache::entry_bytes(it.cut, it.fn));
+        if (cache.size() <= size_before) ++clears;
+        const SupportReduced* f = cache.find(it.root, it.cut);
+        ASSERT_NE(f, nullptr);
+        EXPECT_EQ(f->func, it.fn.func);
+        EXPECT_EQ(f->support, it.fn.support);
+      }
+    }
+    EXPECT_GT(clears, 0) << "bound " << bound;
+    if (bound < largest) {
+      EXPECT_GT(rejected, 0);
+    }
+  }
 }
 
 TEST(Labeling, RejectsUnboundedCircuit) {
