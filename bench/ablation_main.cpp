@@ -1,7 +1,6 @@
 // Ablations over the design choices DESIGN.md calls out:
 //   - expansion depth past the allowed frontier of E_v (reconvergence
 //     coverage vs cost of the partial flow network),
-//   - multiplicity engine (OBDD, as in the paper, vs truth tables),
 //   - decomposition min-cut height span,
 //   - packing on/off.
 // Reported per configuration: TurboSYN phi, LUTs and time over a subset of
@@ -38,7 +37,7 @@ int main(int argc, char** argv) {
   const bool audit = cli.audit;
   std::vector<Config> configs;
   {
-    Config base{"base (extra=2, bdd, span=3, pack)", FlowOptions{}};
+    Config base{"base (extra=2, span=3, pack)", FlowOptions{}};
     base.options.budget = cli.budget;
     base.options.incremental = cli.incremental;
     base.options.collect_artifacts = audit;
@@ -52,10 +51,6 @@ int main(int argc, char** argv) {
     e4.name = "expansion extra=4";
     e4.options.expansion.extra_levels = 4;
     configs.push_back(e4);
-    Config tt = base;
-    tt.name = "multiplicity via truth tables";
-    tt.options.use_bdd = false;
-    configs.push_back(tt);
     Config span1 = base;
     span1.name = "height span=1";
     span1.options.height_span = 1;

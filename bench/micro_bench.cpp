@@ -74,8 +74,8 @@ void BM_BddFromTruthTable(benchmark::State& state) {
 BENCHMARK(BM_BddFromTruthTable)->Arg(10)->Arg(13)->Arg(15);
 
 void BM_ColumnMultiplicity(benchmark::State& state) {
-  // The production hashing classifier, on the same function as the two
-  // engines below.
+  // The production hashing classifier, on the same function as the OBDD
+  // oracle below.
   Rng rng(3);
   const TruthTable t = random_tt(rng, 13);
   for (auto _ : state) {
@@ -92,15 +92,6 @@ void BM_ColumnMultiplicityBdd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ColumnMultiplicityBdd);
-
-void BM_ColumnMultiplicityTt(benchmark::State& state) {
-  Rng rng(3);
-  const TruthTable t = random_tt(rng, 13);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(column_multiplicity_tt(t, 5));
-  }
-}
-BENCHMARK(BM_ColumnMultiplicityTt);
 
 void BM_RothKarpDecompose(benchmark::State& state) {
   // A decomposable function: tree of ANDs/XORs over 12 inputs.

@@ -1,7 +1,8 @@
 // Command-line synthesis flow over BLIF files:
 //
 //   $ ./blif_flow input.blif output.blif [K] [turbosyn|turbomap|flowsyn_s|turbomap_period]
-//               [--portfolio=E1,E2,...]  (race registry engines, keep the best
+//               [--portfolio=E1,E2,...]  (race registry engines under the
+//                                         same options, keep the best
 //                                         certified result; overrides the
 //                                         positional flow name)
 //               [--engines-list]  (print the engine registry and exit)
@@ -125,16 +126,7 @@ int main(int argc, char** argv) {
       std::cout << "note: " << result.degraded_nodes.size()
                 << " node(s) degraded to plain K-cut labels under resource ceilings\n";
     }
-    if (cli.audit) {
-      // A portfolio result is audited under the winner's effective options
-      // (its registry deltas applied), since those produced the artifacts.
-      FlowOptions audit_options = options;
-      if (!engines.empty()) {
-        const EngineSpec* winner = find_engine(result.engine);
-        if (winner != nullptr) audit_options = winner->apply(options);
-      }
-      if (!audit_and_report(input, result, audit_options, tag, std::cout)) return 1;
-    }
+    if (cli.audit && !audit_and_report(input, result, options, tag, std::cout)) return 1;
 
     if (pos.size() > 1) {
       write_blif_file(result.mapped, pos[1], "mapped");

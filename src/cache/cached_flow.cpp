@@ -266,10 +266,6 @@ void trace_cache_counters(TraceSink* trace, const FlowCache& cache) {
   span.counter("retries", cache.retries());
   span.counter("hot_hits", cache.hot_hits());
   span.counter("hot_evictions", cache.hot_evictions());
-  span.counter("hot_cost_evictions", cache.hot_cost_evictions());
-  // Counters are integral; retained wall time rides as whole milliseconds.
-  span.counter("hot_cost_retained_ms",
-               static_cast<std::int64_t>(cache.hot_cost_retained_seconds() * 1000.0));
 }
 
 /// Near-miss warm start, shared by the flow and portfolio miss paths: if a
@@ -383,10 +379,8 @@ FlowResult run_portfolio_cached(const std::vector<const EngineSpec*>& engines,
     }
     if (winner != nullptr) {
       remap_entry_to_input_order(*entry, c);
-      // The winner's option deltas governed the stored run; resolve them
-      // before replay so the regenerated mapping matches bit for bit.
-      FlowResult result = replay_from_entry("flow:portfolio", winner->period_objective, c,
-                                            winner->apply(options), *entry);
+      FlowResult result =
+          replay_from_entry("flow:portfolio", winner->period_objective, c, options, *entry);
       result.engine = entry->winner;
       if (!options.collect_artifacts) result.artifacts = FlowArtifacts{};
       if (info != nullptr) info->hit = true;

@@ -36,8 +36,8 @@ FlowResult run_flow_cached(FlowKind kind, const Circuit& c, const FlowOptions& o
 /// Cache-aware portfolio racing: run_portfolio() with a FlowCache in front.
 /// The key covers the ordered engine list with per-spec fingerprints
 /// (make_portfolio_cache_key). A hit resolves the stored winner against the
-/// requested engines, applies that spec's option deltas, and replays the
-/// winner's artifacts through the staged driver — bit-identical to re-racing,
+/// requested engines and replays the winner's artifacts through the staged
+/// driver under the caller's options — bit-identical to re-racing,
 /// because the race itself is bit-identical to running every engine and
 /// selecting with the shared comparator. The replayed result carries
 /// FlowResult::engine and the merged engine-tagged ledger but an empty

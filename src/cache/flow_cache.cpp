@@ -300,11 +300,11 @@ namespace {
 /// budgets and observability knobs (see make_cache_key docs).
 void append_option_fields(std::ostringstream& os, const FlowOptions& options) {
   os << " k " << options.k << " cmax " << options.cmax << " height_span "
-     << options.height_span << " pld " << options.use_pld << " bdd " << options.use_bdd
-     << " relax " << options.label_relaxation << " lowcost " << options.low_cost_cuts
-     << " dedupe " << options.dedupe << " pack " << options.pack << " pipeline "
-     << options.pipeline << " exp " << options.expansion.extra_levels << ' '
-     << options.expansion.node_budget << '\n';
+     << options.height_span << " pld " << options.use_pld << " relax "
+     << options.label_relaxation << " lowcost " << options.low_cost_cuts << " dedupe "
+     << options.dedupe << " pack " << options.pack << " pipeline " << options.pipeline
+     << " exp " << options.expansion.extra_levels << ' ' << options.expansion.node_budget
+     << '\n';
 }
 
 /// Finishes a key from its options line: full text, hash, near-miss sketch.
@@ -338,8 +338,9 @@ CacheKey make_cache_key(const Circuit& c, const FlowOptions& options, FlowKind k
 CacheKey make_portfolio_cache_key(const Circuit& c, const FlowOptions& options,
                                   const std::vector<const EngineSpec*>& engines) {
   // The ordered engine list with per-spec fingerprints: order matters (it is
-  // the selection tie-break), and the fingerprint covers every spec-side
-  // delta, so editing a registry engine invalidates its portfolios' entries.
+  // the selection tie-break), and the fingerprint covers every spec field
+  // that shapes the run, so editing a registry engine invalidates its
+  // portfolios' entries.
   std::ostringstream os;
   os << "portfolio";
   for (const EngineSpec* spec : engines) {
@@ -347,16 +348,6 @@ CacheKey make_portfolio_cache_key(const Circuit& c, const FlowOptions& options,
   }
   append_option_fields(os, options);
   return finish_cache_key(c, os.str());
-}
-
-const char* hot_policy_name(HotPolicy policy) {
-  return policy == HotPolicy::kCostAware ? "cost-aware" : "recency";
-}
-
-std::optional<HotPolicy> parse_hot_policy(std::string_view name) {
-  if (name == "recency") return HotPolicy::kRecency;
-  if (name == "cost-aware") return HotPolicy::kCostAware;
-  return std::nullopt;
 }
 
 FlowCache::FlowCache(std::string dir) : dir_(std::move(dir)) {}
@@ -393,21 +384,6 @@ bool FlowCache::hot_tier_enabled() const {
   return hot_max_bytes_ > 0;
 }
 
-void FlowCache::set_hot_policy(HotPolicy policy) {
-  const std::lock_guard<std::mutex> lock(hot_mu_);
-  hot_policy_ = policy;
-}
-
-HotPolicy FlowCache::hot_policy() const {
-  const std::lock_guard<std::mutex> lock(hot_mu_);
-  return hot_policy_;
-}
-
-double FlowCache::hot_cost_retained_seconds() const {
-  const std::lock_guard<std::mutex> lock(hot_mu_);
-  return hot_cost_retained_seconds_;
-}
-
 std::int64_t FlowCache::hot_entries() const {
   const std::lock_guard<std::mutex> lock(hot_mu_);
   return static_cast<std::int64_t>(hot_lru_.size());
@@ -418,50 +394,11 @@ std::int64_t FlowCache::hot_bytes() const {
   return static_cast<std::int64_t>(hot_bytes_now_);
 }
 
-namespace {
-
-/// The kCostAware eviction score: the entry's probe wall time decayed by a
-/// half-life of `kHotHalfLife` hot-tier accesses since it was last touched.
-/// Purely logical time (access ticks, not wall clock), so the victim
-/// sequence is a deterministic function of the access sequence — which the
-/// fuzz oracle and the eviction-order tests rely on.
-constexpr double kHotHalfLife = 16.0;
-
-double hot_score(double cost, std::uint64_t now, std::uint64_t last_use) {
-  const double age = static_cast<double>(now - last_use);
-  return cost * std::exp2(-age / kHotHalfLife);
-}
-
-}  // namespace
-
 void FlowCache::hot_evict_locked() const {
   while (!hot_lru_.empty() &&
          (hot_bytes_now_ > hot_max_bytes_ ||
           (hot_max_entries_ > 0 && hot_lru_.size() > hot_max_entries_))) {
-    // Recency: the LRU tail. Cost-aware: the minimum decayed-cost score,
-    // ties broken toward the older last_use (and ultimately toward the tail,
-    // which the backward scan's strict `<` guarantees) — so zero-cost
-    // entries degrade to exact LRU order.
-    auto victim_it = std::prev(hot_lru_.end());
-    if (hot_policy_ == HotPolicy::kCostAware && hot_lru_.size() > 1) {
-      double best = hot_score(victim_it->cost, hot_tick_, victim_it->last_use);
-      std::uint64_t best_last = victim_it->last_use;
-      for (auto it = std::prev(victim_it);; --it) {
-        const double score = hot_score(it->cost, hot_tick_, it->last_use);
-        if (score < best || (score == best && it->last_use < best_last)) {
-          best = score;
-          best_last = it->last_use;
-          victim_it = it;
-        }
-        if (it == hot_lru_.begin()) break;
-      }
-      if (std::next(victim_it) != hot_lru_.end()) {
-        // The score spared the LRU tail: count the eviction as cost-driven
-        // and credit the recompute seconds the tail keeps resident.
-        hot_cost_evictions_.fetch_add(1, std::memory_order_relaxed);
-        hot_cost_retained_seconds_ += hot_lru_.back().cost;
-      }
-    }
+    const auto victim_it = std::prev(hot_lru_.end());
     hot_bytes_now_ -= std::min(hot_bytes_now_, victim_it->bytes);
     hot_index_.erase(victim_it->hash);
     hot_lru_.erase(victim_it);
@@ -478,7 +415,6 @@ std::optional<CacheEntry> FlowCache::hot_lookup(const CacheKey& key) const {
   // degrades to a (disk) miss for the colliding key, never a wrong artifact.
   if (it->second->key_text != key.text) return std::nullopt;
   hot_lru_.splice(hot_lru_.begin(), hot_lru_, it->second);  // bump to MRU
-  it->second->last_use = ++hot_tick_;
   hot_hits_.fetch_add(1, std::memory_order_relaxed);
   return it->second->entry;  // a copy: callers remap their copy in place
 }
@@ -495,8 +431,7 @@ void FlowCache::hot_insert(const CacheKey& key, const CacheEntry& entry) const {
     hot_lru_.erase(it->second);
     hot_index_.erase(it);
   }
-  hot_lru_.push_front(HotEntry{key.hash, key.text, entry, bytes,
-                               entry.flow_wall_seconds, ++hot_tick_});
+  hot_lru_.push_front(HotEntry{key.hash, key.text, entry, bytes});
   hot_index_[key.hash] = hot_lru_.begin();
   hot_bytes_now_ += bytes;
   hot_evict_locked();
@@ -561,7 +496,7 @@ CacheEntry FlowCache::entry_from_result(const FlowResult& result, const Circuit&
   entry.period = result.period;
   entry.pipeline_stages = result.pipeline_stages;
   // Schema v5 cost: the probe wall time the ledger already recorded — the
-  // compute a later hit saves, and what the cost-aware hot tier scores by.
+  // compute a later hit saves.
   // Imported (replayed) records carry no wall time, so a stored re-run of a
   // hit keeps cost 0 rather than inventing one.
   double cost = 0.0;

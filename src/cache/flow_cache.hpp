@@ -53,20 +53,8 @@
 // is the dominant hit cost. The tier holds validated CacheEntry copies
 // keyed by hash with the full key text retained, so the collision rule
 // above applies to memory exactly as to disk. It is write-through: store()
-// and disk hits populate it, eviction (byte- and entry-capped) never loses
-// anything the disk doesn't still have.
-//
-// Eviction policy (set_hot_policy, DESIGN.md §16): `kRecency` evicts the
-// least recently used entry (classic LRU). `kCostAware` evicts the entry
-// with the lowest score = flow_wall_seconds × 2^-(age / half-life), where
-// flow_wall_seconds is the wall time the originating run spent in its label
-// probes (summed from the probe ledger, persisted with the entry) and age
-// counts hot-tier accesses since the entry was last touched — so cheap
-// entries leave first and an expensive entry must idle for several
-// half-lives before a cheap-but-fresh one outranks it. The policy decides
-// only WHAT stays resident: a hit replays the identical validated entry
-// either way (and an eviction only demotes to the disk path), so results
-// are bit-identical across policies — only hit rates differ.
+// and disk hits populate it, and eviction (byte- and entry-capped, least
+// recently used first) never loses anything the disk doesn't still have.
 
 #include <atomic>
 #include <cstddef>
@@ -75,7 +63,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -85,17 +72,6 @@
 #include "netlist/circuit.hpp"
 
 namespace turbosyn {
-
-/// Hot-tier eviction policy (see the header comment and DESIGN.md §16).
-enum class HotPolicy {
-  kRecency,    // evict the least recently used entry (LRU)
-  kCostAware,  // evict the lowest flow_wall_seconds × recency-decay score
-};
-
-/// Stable names for flags, STATS, and logs: "recency" / "cost-aware".
-const char* hot_policy_name(HotPolicy policy);
-/// Parses a policy name; nullopt for anything else.
-std::optional<HotPolicy> parse_hot_policy(std::string_view name);
 
 /// Cache key: hash for addressing, full text for the collision check.
 struct CacheKey {
@@ -118,8 +94,8 @@ CacheKey make_cache_key(const Circuit& c, const FlowOptions& options, FlowKind k
 /// Key for racing `engines` (a validated portfolio, core/portfolio.hpp) on
 /// `c`. The options line replaces the flow name with the ordered engine
 /// list, each entry carrying its spec fingerprint — so a portfolio hit is
-/// only served to the exact same race (same engines, same order, same spec
-/// deltas), and reordering or swapping an engine is a clean miss.
+/// only served to the exact same race (same engines, same order, same
+/// specs), and reordering or swapping an engine is a clean miss.
 CacheKey make_portfolio_cache_key(const Circuit& c, const FlowOptions& options,
                                   const std::vector<const EngineSpec*>& engines);
 
@@ -143,7 +119,7 @@ struct CachedProbe {
 struct CacheEntry {
   /// Winning engine of a portfolio run (schema v4; empty for standalone
   /// flows). A portfolio hit resolves this name against the requested
-  /// engine list and replays under the winner's option deltas.
+  /// engine list and replays the winner's artifacts.
   std::string winner;
   int phi = 0;                     // the ratio/period the run settled on
   LabelMode mode = LabelMode::kPlain;  // update rule of the winning labels
@@ -164,9 +140,8 @@ struct CacheEntry {
   std::int64_t period = 0;
   int pipeline_stages = 0;
   /// Wall time the originating run spent in its label probes (summed from
-  /// the probe ledger, schema v5) — the compute this entry saves on a hit,
-  /// and the cost the kCostAware hot tier scores by. Diagnostics only:
-  /// never affects the replayed result.
+  /// the probe ledger, schema v5) — the compute this entry saves on a hit.
+  /// Diagnostics only: never affects the replayed result or eviction.
   double flow_wall_seconds = 0.0;
   std::string mapped_blif;
 };
@@ -178,10 +153,9 @@ class FlowCache {
   explicit FlowCache(std::string dir);
 
   /// v5: entries record the originating run's probe wall time ("cost"
-  /// line), the input the cost-aware hot tier scores by (v4 named the
-  /// winning engine and tagged every probe record with its engine; v3 added
-  /// the length + checksum trailer; v2 canonical-order labels and the
-  /// near-miss index). Older entries parse as a schema mismatch, i.e. a
+  /// line) (v4 named the winning engine and tagged every probe record with
+  /// its engine; v3 added the length + checksum trailer; v2 canonical-order
+  /// labels and the near-miss index). Older entries parse as a schema mismatch, i.e. a
   /// clean miss.
   static constexpr int kSchemaVersion = 5;
 
@@ -204,13 +178,6 @@ class FlowCache {
   /// never admitted.
   void enable_hot_tier(std::size_t max_bytes, std::size_t max_entries = 0);
   bool hot_tier_enabled() const;
-
-  /// Switches the hot tier's eviction policy (default kRecency). Safe to
-  /// call at any time, including mid-run with entries resident: the policy
-  /// only picks eviction victims, so reconfiguration never invalidates a
-  /// resident entry or changes any result.
-  void set_hot_policy(HotPolicy policy);
-  HotPolicy hot_policy() const;
 
   /// A validated donor entry found through the near-miss index: the stored
   /// run's artifacts plus the canonical text of the circuit it ran on.
@@ -295,16 +262,6 @@ class FlowCache {
   std::int64_t hot_evictions() const {
     return hot_evictions_.load(std::memory_order_relaxed);
   }
-  /// Evictions where the kCostAware score picked a DIFFERENT victim than
-  /// plain LRU would have (a subset of hot_evictions()); zero under
-  /// kRecency.
-  std::int64_t hot_cost_evictions() const {
-    return hot_cost_evictions_.load(std::memory_order_relaxed);
-  }
-  /// Cumulative flow_wall_seconds of the LRU-tail entries the kCostAware
-  /// policy spared on those evictions — the recompute time the policy kept
-  /// resident that recency-only eviction would have dropped.
-  double hot_cost_retained_seconds() const;
   /// Currently resident entries / estimated resident bytes (point-in-time,
   /// not monotonic).
   std::int64_t hot_entries() const;
@@ -314,17 +271,12 @@ class FlowCache {
   std::string near_index_path(std::uint64_t sketch) const;
 
   /// One resident entry: the full key text rides along for the collision
-  /// check, `bytes` is the admission-time size estimate eviction accounts,
-  /// `cost` and `last_use` feed the kCostAware score (last_use is a logical
-  /// access tick, not wall clock, so eviction order is deterministic for a
-  /// given access sequence).
+  /// check, `bytes` is the admission-time size estimate eviction accounts.
   struct HotEntry {
     std::uint64_t hash = 0;
     std::string key_text;
     CacheEntry entry;
     std::size_t bytes = 0;
-    double cost = 0.0;          // the entry's flow_wall_seconds
-    std::uint64_t last_use = 0; // hot_tick_ at the last lookup/insert
   };
 
   /// Resident copy for `key` (byte-compared), bumping it to the MRU end.
@@ -332,7 +284,7 @@ class FlowCache {
   /// Admits a validated entry, evicting victims past the caps. No-op when
   /// the tier is disabled or the entry alone exceeds max_bytes.
   void hot_insert(const CacheKey& key, const CacheEntry& entry) const;
-  /// Evicts per the active policy until the caps hold. Caller holds hot_mu_.
+  /// Evicts from the LRU end until the caps hold. Caller holds hot_mu_.
   void hot_evict_locked() const;
 
   std::string dir_;
@@ -344,13 +296,9 @@ class FlowCache {
   mutable std::unordered_map<std::uint64_t, std::list<HotEntry>::iterator> hot_index_;
   std::size_t hot_max_bytes_ = 0;    // 0 = tier disabled
   std::size_t hot_max_entries_ = 0;  // 0 = no entry-count cap
-  HotPolicy hot_policy_ = HotPolicy::kRecency;
   mutable std::size_t hot_bytes_now_ = 0;
-  mutable std::uint64_t hot_tick_ = 0;  // logical access clock for the decay
-  mutable double hot_cost_retained_seconds_ = 0.0;
   mutable std::atomic<std::int64_t> hot_hits_{0};
   mutable std::atomic<std::int64_t> hot_evictions_{0};
-  mutable std::atomic<std::int64_t> hot_cost_evictions_{0};
   mutable std::atomic<std::int64_t> hits_{0};
   mutable std::atomic<std::int64_t> misses_{0};
   std::atomic<std::int64_t> stores_{0};

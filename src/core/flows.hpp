@@ -50,7 +50,9 @@ struct FlowOptions {
   int cmax = 15;
   int height_span = 3;
   bool use_pld = true;           // positive loop detection (vs n^2 criterion)
-  bool use_bdd = true;           // decomposition multiplicity engine
+  /// Has no effect: column multiplicity has one engine. Kept only so
+  /// existing callers that assign it still compile; not in the cache key.
+  bool use_bdd = true;
   bool label_relaxation = true;  // LUT-reduction in mapping generation
   bool low_cost_cuts = true;     // min-size, max-sharing cut selection
   bool dedupe = true;            // structural LUT deduplication

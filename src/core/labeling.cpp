@@ -29,7 +29,6 @@ std::int64_t fanin_bound(const Circuit& c, std::span<const int> labels, int phi,
 DecompOptions decomp_options(const LabelOptions& options) {
   DecompOptions d;
   d.k = options.k;
-  d.use_bdd = options.use_bdd;
   d.bdd_node_budget = options.budget.bdd_node_budget();
   return d;
 }

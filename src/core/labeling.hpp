@@ -46,7 +46,6 @@ struct LabelOptions {
   int cmax = 15;                      // max resynthesis cut width (paper: 15)
   int height_span = 3;                // decomposition min-cut heights L(v)..L(v)-span+1
   bool use_pld = true;                // false: fall back to the n^2 stopping criterion
-  bool use_bdd = true;                // decomposition multiplicity engine
   /// Extra cap on per-SCC sweeps (0 = only the criterion's own bound). Used
   /// by the PLD ablation bench to bound the n^2 baseline's runtime; when the
   /// cap fires the result reports infeasible with Status::kDegraded (a

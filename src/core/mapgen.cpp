@@ -126,7 +126,9 @@ class Generator {
   }
 
   void install(NodeId v, NodeRealization real, int height) {
-    Chosen ch;
+    // Built in place: request() never inserts into chosen_, so `ch` stays
+    // valid, and it skips a cut input equal to v as already chosen.
+    Chosen& ch = chosen_[v];
     ch.input_depth = compute_input_depths(real);
     ch.real = std::move(real);
     ch.height = height;
@@ -136,7 +138,6 @@ class Generator {
           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(in.node)) << 24) |
           static_cast<std::uint32_t>(in.w));
     }
-    chosen_[v] = std::move(ch);
   }
 
   /// Heights the consumers allow: A(x) = min over uses (x, w) at depth d in a

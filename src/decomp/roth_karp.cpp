@@ -5,7 +5,6 @@
 #include <bit>
 #include <map>
 #include <set>
-#include <string>
 
 #include "base/check.hpp"
 #include "bdd/bdd.hpp"
@@ -13,11 +12,11 @@
 namespace turbosyn {
 namespace {
 
-// ---- The ROBDD oracle and the legacy truth-table engine ----
+// ---- The ROBDD oracle ----
 //
-// Both take f with its bound set already at variables 0..boundary-1 and
-// return, per class, a representative over the full arity (classes do not
-// depend on bound variables).
+// Takes f with its bound set already at variables 0..boundary-1 and returns,
+// per class, a representative over the full arity (classes do not depend on
+// bound variables).
 struct ClassInfo {
   std::size_t multiplicity = 0;
   std::vector<std::uint32_t> code_of;   // size 2^boundary
@@ -42,31 +41,6 @@ ClassInfo classify_bdd(const TruthTable& f, int boundary) {
   for (const BddRef c : classes) {
     info.class_tt.push_back(mgr.to_truth_table(c, f.num_vars()));
   }
-  return info;
-}
-
-ClassInfo classify_tt(const TruthTable& f, int boundary) {
-  ClassInfo info;
-  info.code_of.resize(std::size_t{1} << boundary);
-  std::map<std::string, std::uint32_t> index_of;  // column signature -> class
-  const int free_vars = f.num_vars() - boundary;
-  const std::uint32_t free_count = std::uint32_t{1} << free_vars;
-  for (std::uint32_t a = 0; a < info.code_of.size(); ++a) {
-    std::string signature(free_count, '0');
-    for (std::uint32_t y = 0; y < free_count; ++y) {
-      if (f.bit(a | (y << boundary))) signature[y] = '1';
-    }
-    const auto [it, inserted] =
-        index_of.emplace(std::move(signature), static_cast<std::uint32_t>(info.class_tt.size()));
-    if (inserted) {
-      // Representative: f with the bound variables fixed to this assignment.
-      TruthTable rep = f;
-      for (int v = 0; v < boundary; ++v) rep = rep.cofactor(v, (a >> v) & 1);
-      info.class_tt.push_back(std::move(rep));
-    }
-    info.code_of[a] = it->second;
-  }
-  info.multiplicity = info.class_tt.size();
   return info;
 }
 
@@ -272,10 +246,6 @@ std::size_t column_multiplicity_bdd(const TruthTable& f, int boundary) {
   return classify_bdd(f, boundary).multiplicity;
 }
 
-std::size_t column_multiplicity_tt(const TruthTable& f, int boundary) {
-  return classify_tt(f, boundary).multiplicity;
-}
-
 bool robdd_exceeds_budget(const TruthTable& f, std::size_t node_budget) {
   // make_node creates the n-th internal node while the manager holds n+1
   // nodes (two terminals), and saturates when that count reaches the budget.
@@ -342,7 +312,7 @@ class DecompSearch {
     const int r = m - b;
     // Kernel layout: kept signals become variables 0..r-1 in their order and
     // bound signal j becomes variable r+j. bound_first is the classic layout
-    // (bound j at j, kept from b on) the BDD budget and the legacy engine use.
+    // (bound j at j, kept from b on) the BDD budget counts nodes on.
     std::vector<int> var_map(static_cast<std::size_t>(m), -1);
     std::vector<int> bound_first(static_cast<std::size_t>(m));
     for (int j = 0; j < b; ++j) {
@@ -358,29 +328,15 @@ class DecompSearch {
       }
     }
 
-    // runs: run a is the cofactor under bound assignment a (for the legacy
-    // engine, run c is class c); classes.rep names each class's run.
-    TruthTable runs;
-    RunClasses classes;
-    if (options_.use_bdd) {
-      if (options_.bdd_node_budget > 0 &&
-          robdd_exceeds_budget(f.remap(m, bound_first), options_.bdd_node_budget)) {
-        budget_limited_ = true;
-        return false;  // could not even classify: treat as no compression
-      }
-      runs = f.remap(m, var_map);
-      classes = classify_runs(runs, b);
-    } else {
-      ClassInfo info = classify_tt(f.remap(m, bound_first), b);
-      runs = TruthTable::constant(m, false);
-      for (std::uint32_t c = 0; c < info.multiplicity; ++c) {
-        for (std::uint32_t y = 0; y < (std::uint32_t{1} << r); ++y) {
-          if (info.class_tt[c].bit(y << b)) runs.set_bit((c << r) | y, true);
-        }
-        classes.rep.push_back(c);
-      }
-      classes.code_of = std::move(info.code_of);
+    if (options_.bdd_node_budget > 0 &&
+        robdd_exceeds_budget(f.remap(m, bound_first), options_.bdd_node_budget)) {
+      budget_limited_ = true;
+      return false;  // could not even classify: treat as no compression
     }
+    // runs: run a is the cofactor under bound assignment a; classes.rep
+    // names each class's run.
+    const TruthTable runs = f.remap(m, var_map);
+    const RunClasses classes = classify_runs(runs, b);
     const int t = std::max(1, ceil_log2(classes.rep.size()));
     if (t >= b) return false;  // no compression from this bound set
 

@@ -23,9 +23,10 @@
 // contiguous run of bits or words; runs are classified by hashing, every
 // hash match confirmed word by word. Classes are numbered by first
 // occurrence in x0-major order, exactly as the OBDD's low-first DFS emits
-// them, so encoders and results are those of the OBDD method. BDDs remain
-// as the test oracle (column_classes_bdd) and in verify/ for miters; the
-// decomposition path constructs no BddManager.
+// them, so encoders and results are those of the OBDD method. This is the
+// one classifier the decomposition uses. BDDs remain as the test oracle
+// (column_classes_bdd) and in verify/ for miters; the decomposition path
+// constructs no BddManager.
 
 #include <cstdint>
 #include <span>
@@ -67,14 +68,11 @@ struct DecompResult {
 
 struct DecompOptions {
   int k = 5;               // LUT input count
-  /// true: the hashing kernel, numbering classes as the paper's OBDD does;
-  /// false: the legacy truth-table engine (signature order, other encoders).
-  bool use_bdd = true;
   int max_attempts = 64;   // bound-set selection attempts per round
   /// Ceiling on the OBDD (bound set first) of each classification; 0 = none.
   /// When the OBDD would exceed it, that bound set is treated as offering no
   /// compression and the result is marked budget_limited. Counted on the
-  /// truth table; only the use_bdd engine honours it.
+  /// truth table, before every classification.
   std::size_t bdd_node_budget = 0;
 };
 
@@ -120,8 +118,6 @@ ColumnClasses column_classes(const TruthTable& f, int boundary);
 /// The paper's OBDD classification: the oracle column_classes must match.
 ColumnClasses column_classes_bdd(const TruthTable& f, int boundary);
 std::size_t column_multiplicity_bdd(const TruthTable& f, int boundary);
-/// The legacy truth-table engine (use_bdd = false); same mu, other numbering.
-std::size_t column_multiplicity_tt(const TruthTable& f, int boundary);
 
 /// True iff BddManager(f.num_vars(), node_budget, OnBudget::kSaturate)
 /// would latch exhausted() building f (variable 0 on top), computed from

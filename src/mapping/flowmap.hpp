@@ -25,7 +25,9 @@ struct FlowMapOptions {
   bool enable_decomposition = false;  // false = FlowMap, true = FlowSYN
   int cmax = 15;                    // max resynthesis cut width (paper: 15)
   int min_cut_height_span = 2;      // try min-cuts at heights p-1 .. p-span
-  bool use_bdd = true;              // decomposition multiplicity engine
+  /// Has no effect: column multiplicity has one engine. Kept only so
+  /// existing callers that assign it still compile.
+  bool use_bdd = true;
 };
 
 struct NodeMapping {

@@ -926,11 +926,8 @@ StatsSnapshot MappingServer::snapshot() const {
     snap.cache_store_retries = cache.retries();
     snap.hot_hits = cache.hot_hits();
     snap.hot_evictions = cache.hot_evictions();
-    snap.hot_cost_evictions = cache.hot_cost_evictions();
-    snap.hot_cost_retained_seconds = cache.hot_cost_retained_seconds();
     snap.hot_entries = cache.hot_entries();
     snap.hot_bytes = cache.hot_bytes();
-    snap.hot_policy = hot_policy_name(cache.hot_policy());
   }
   {
     const std::lock_guard<std::mutex> lock(stats_mu_);
@@ -1008,12 +1005,8 @@ std::string render_stats_json(const StatsSnapshot& snap) {
     s += ",\"store_retries\":" + std::to_string(snap.cache_store_retries);
     s += ",\"hot_hits\":" + std::to_string(snap.hot_hits);
     s += ",\"hot_evictions\":" + std::to_string(snap.hot_evictions);
-    s += ",\"hot_cost_evictions\":" + std::to_string(snap.hot_cost_evictions);
-    s += ",\"hot_cost_retained_seconds\":" + json_double(snap.hot_cost_retained_seconds);
     s += ",\"hot_entries\":" + std::to_string(snap.hot_entries);
     s += ",\"hot_bytes\":" + std::to_string(snap.hot_bytes);
-    s += ",\"hot_policy\":";
-    json_append_string(s, snap.hot_policy);
     s += "}";
   }
   s += ",\"portfolio\":{\"runs\":" + std::to_string(snap.portfolio_runs);
@@ -1195,21 +1188,10 @@ std::string render_prometheus(const StatsSnapshot& snap) {
                  "Hits served from the in-memory hot tier.", snap.hot_hits);
     prom_counter(out, "ts_cache_hot_evictions_total", "Hot-tier entries evicted.",
                  snap.hot_evictions);
-    prom_counter(out, "ts_cache_hot_cost_evictions_total",
-                 "Evictions where the cost-aware score overrode LRU order.",
-                 snap.hot_cost_evictions);
-    prom_family(out, "ts_cache_hot_cost_retained_seconds_total",
-                "Flow wall seconds kept resident by cost-aware eviction.", "counter");
-    prom_sample(out, "ts_cache_hot_cost_retained_seconds_total",
-                snap.hot_cost_retained_seconds);
     prom_gauge(out, "ts_cache_hot_entries", "Hot-tier entries resident.",
                snap.hot_entries);
     prom_gauge(out, "ts_cache_hot_bytes", "Hot-tier estimated resident bytes.",
                snap.hot_bytes);
-    prom_family(out, "ts_cache_hot_policy",
-                "Active hot-tier eviction policy (1 on the active label).", "gauge");
-    out += "ts_cache_hot_policy{policy=\"" + prom_label_escape(snap.hot_policy) +
-           "\"} 1\n";
   }
 
   prom_counter(out, "ts_portfolio_runs_total", "Portfolio races finished.",

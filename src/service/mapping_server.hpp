@@ -120,11 +120,8 @@ struct StatsSnapshot {
   std::int64_t cache_store_retries = 0;
   std::int64_t hot_hits = 0;
   std::int64_t hot_evictions = 0;
-  std::int64_t hot_cost_evictions = 0;
-  double hot_cost_retained_seconds = 0.0;
   std::int64_t hot_entries = 0;
   std::int64_t hot_bytes = 0;
-  std::string hot_policy;  // "recency" | "cost-aware"
   // Portfolio rollups.
   std::int64_t portfolio_runs = 0;
   std::int64_t portfolio_cancelled_engines = 0;

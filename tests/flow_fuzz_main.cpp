@@ -2,7 +2,7 @@
 // with the invariant auditor as the oracle.
 //
 //   $ flow_fuzz_main [--seeds N | --seeds A..B] [--time-budget SECONDS]
-//                    [--through-cache] [--portfolio] [--hot-policy]
+//                    [--through-cache] [--portfolio] [--hot-tier]
 //                    [--require-all] [--verbose]
 //
 // Per seed it generates a small random FSM circuit (workloads/generator),
@@ -26,13 +26,11 @@
 //     must be bit-identical to the best standalone engine under the shared
 //     selection order, every cancelled row must be certificate-free, and
 //     the result must pass the full audit including the "portfolio" check;
-//   - with --hot-policy, every seed replays the same store/hit/evict access
-//     sequence through two fresh caches whose hot tiers are entry-capped
-//     small enough to churn, one under the recency policy and one under
-//     cost-aware: every run must be bit-identical across the two policies
-//     (and to the uncached run), hits must still import-only their ledgers,
-//     and the hit must pass the full audit — the eviction policy may change
-//     WHAT stays resident, never a result.
+//   - with --hot-tier, every seed replays a store/hit/evict access sequence
+//     through a fresh cache whose hot tier is entry-capped small enough to
+//     churn: every run must be bit-identical to the uncached run, hits must
+//     import-only their ledgers, and the hit must pass the full audit —
+//     eviction may change WHAT stays resident, never a result.
 //
 // Exits nonzero on the first failing seed's summary. --time-budget stops
 // early once the budget is spent; with --require-all, not finishing every
@@ -70,7 +68,7 @@ struct FuzzConfig {
   double time_budget_s = 0.0;  // 0 = unlimited
   bool through_cache = false;  // replay every seed through a flow cache
   bool portfolio = false;      // race a rotating engine portfolio per seed
-  bool hot_policy = false;     // recency-vs-cost-aware hot-tier oracle
+  bool hot_tier = false;       // hot-tier eviction-pressure replay
   bool require_all = false;
   bool verbose = false;
 };
@@ -95,15 +93,15 @@ FuzzConfig parse_args(int argc, char** argv) {
       cfg.through_cache = true;
     } else if (a == "--portfolio") {
       cfg.portfolio = true;
-    } else if (a == "--hot-policy") {
-      cfg.hot_policy = true;
+    } else if (a == "--hot-tier") {
+      cfg.hot_tier = true;
     } else if (a == "--require-all") {
       cfg.require_all = true;
     } else if (a == "--verbose") {
       cfg.verbose = true;
     } else {
       std::cerr << "usage: flow_fuzz_main [--seeds N|A..B] [--time-budget S]"
-                   " [--through-cache] [--portfolio] [--hot-policy] [--require-all]"
+                   " [--through-cache] [--portfolio] [--hot-tier] [--require-all]"
                    " [--verbose]\n";
       std::exit(2);
     }
@@ -307,71 +305,51 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
     }
   }
 
-  // Hot-tier policy invariance: the identical access sequence through two
-  // fresh caches — recency vs cost-aware eviction, tiers capped at two
-  // entries so the three distinct circuits below force eviction churn —
-  // must produce bit-identical results run for run (and match the uncached
-  // baselines), with audit-clean imported ledgers on the hits.
-  if (cfg.hot_policy) {
+  // Hot tier under eviction pressure: the tier is capped at two entries, so
+  // the three distinct cache keys below (TurboSYN and TurboMap on `c`,
+  // TurboSYN on an edited copy) churn it. Every run must still be
+  // bit-identical to the uncached baselines, and the hits must replay
+  // import-only, audit-clean ledgers.
+  if (cfg.hot_tier) {
     const Circuit edited = mutate_one_gate(c, seed);
     FlowOptions cold_opt = opt;
     cold_opt.incremental = false;
     const FlowResult edited_baseline = run_turbosyn(edited, cold_opt);
 
-    struct PolicyRun {
-      std::string populate, populate_tm, populate_edited, hit, hit_edited;
-      bool hit_hit = false, hit_edited_hit = false;
-      std::int64_t hot_cost_evictions = 0;
-    };
-    const HotPolicy policies[] = {HotPolicy::kRecency, HotPolicy::kCostAware};
-    PolicyRun runs[2];
-    for (int p = 0; p < 2; ++p) {
-      const std::filesystem::path dir =
-          std::filesystem::temp_directory_path() /
-          ("turbosyn_fuzz_hotpol." + std::to_string(::getpid()) + "." +
-           std::to_string(seed) + "." + hot_policy_name(policies[p]));
-      std::filesystem::remove_all(dir);
-      FlowCache hot_cache(dir.string());
-      hot_cache.enable_hot_tier(std::size_t{16} << 20, 2);
-      hot_cache.set_hot_policy(policies[p]);
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("turbosyn_fuzz_hottier." + std::to_string(::getpid()) + "." + std::to_string(seed));
+    std::filesystem::remove_all(dir);
+    FlowCache hot_cache(dir.string());
+    hot_cache.enable_hot_tier(std::size_t{16} << 20, 2);
 
-      PolicyRun& r = runs[p];
-      r.populate = fingerprint(run_flow_cached(FlowKind::kTurboSyn, c, opt, &hot_cache));
-      r.populate_tm = fingerprint(run_flow_cached(FlowKind::kTurboMap, c, opt, &hot_cache));
-      r.populate_edited =
-          fingerprint(run_flow_cached(FlowKind::kTurboSyn, edited, opt, &hot_cache));
-      CacheRunInfo hit_info;
-      const FlowResult hit = run_flow_cached(FlowKind::kTurboSyn, c, opt, &hot_cache, &hit_info);
-      r.hit = fingerprint(hit);
-      r.hit_hit = hit_info.hit;
-      CacheRunInfo edited_info;
-      const FlowResult hit_edited =
-          run_flow_cached(FlowKind::kTurboSyn, edited, opt, &hot_cache, &edited_info);
-      r.hit_edited = fingerprint(hit_edited);
-      r.hit_edited_hit = edited_info.hit;
-      r.hot_cost_evictions = hot_cache.hot_cost_evictions();
+    const std::string populate =
+        fingerprint(run_flow_cached(FlowKind::kTurboSyn, c, opt, &hot_cache));
+    const std::string populate_tm =
+        fingerprint(run_flow_cached(FlowKind::kTurboMap, c, opt, &hot_cache));
+    const std::string populate_edited =
+        fingerprint(run_flow_cached(FlowKind::kTurboSyn, edited, opt, &hot_cache));
+    CacheRunInfo hit_info;
+    const FlowResult hit = run_flow_cached(FlowKind::kTurboSyn, c, opt, &hot_cache, &hit_info);
+    CacheRunInfo edited_info;
+    const FlowResult hit_edited =
+        run_flow_cached(FlowKind::kTurboSyn, edited, opt, &hot_cache, &edited_info);
 
-      const std::string tag = std::string("hot-policy/") + hot_policy_name(policies[p]);
-      expect(out, r.populate == fingerprint(ts), tag + ": populate differs from uncached");
-      expect(out, r.populate_tm == fingerprint(tm),
-             tag + ": turbomap populate differs from uncached");
-      expect(out, r.hit_hit, tag + ": replay of the stored circuit missed");
-      expect(out, r.hit_edited_hit, tag + ": replay of the edited circuit missed");
-      bool all_imported = !hit.probes.empty();
-      for (const ProbeRecord& probe : hit.probes) all_imported = all_imported && probe.imported;
-      expect(out, !r.hit_hit || all_imported, tag + ": hit ledger has non-imported records");
-      if (r.hit_hit) audit_into(out, c, hit, opt, tag, seed, cfg.verbose);
-      std::filesystem::remove_all(dir);
-    }
-    expect(out, runs[0].populate_edited == runs[1].populate_edited,
-           "hot-policy: edited populate differs between policies");
-    expect(out, runs[0].hit == runs[1].hit, "hot-policy: hit differs between policies");
-    expect(out, runs[0].hit_edited == runs[1].hit_edited,
-           "hot-policy: edited hit differs between policies");
-    expect(out, runs[0].populate_edited == fingerprint(edited_baseline),
-           "hot-policy: edited populate differs from the cold baseline");
-    expect(out, runs[0].hot_cost_evictions == 0,
-           "hot-policy: recency run reported cost-aware evictions");
+    expect(out, populate == fingerprint(ts), "hot-tier: populate differs from uncached");
+    expect(out, populate_tm == fingerprint(tm),
+           "hot-tier: turbomap populate differs from uncached");
+    expect(out, populate_edited == fingerprint(edited_baseline),
+           "hot-tier: edited populate differs from the cold baseline");
+    expect(out, hit_info.hit, "hot-tier: replay of the stored circuit missed");
+    expect(out, edited_info.hit, "hot-tier: replay of the edited circuit missed");
+    expect(out, fingerprint(hit) == populate, "hot-tier: hit differs from its populate");
+    expect(out, fingerprint(hit_edited) == populate_edited,
+           "hot-tier: edited hit differs from its populate");
+    bool all_imported = !hit.probes.empty();
+    for (const ProbeRecord& probe : hit.probes) all_imported = all_imported && probe.imported;
+    expect(out, !hit_info.hit || all_imported, "hot-tier: hit ledger has non-imported records");
+    if (hit_info.hit) audit_into(out, c, hit, opt, "hot-tier", seed, cfg.verbose);
+    std::filesystem::remove_all(dir);
   }
 
   // Portfolio race vs the "run everything, pick the best" oracle: the race
@@ -383,8 +361,8 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
     static const std::vector<std::vector<std::string>> kPortfolios = {
         {"turbomap", "turbosyn", "flowsyn_s"},
         {"turbosyn", "turbomap"},
-        {"turbomap_nopld", "turbosyn_bisect", "flowsyn_s"},
-        {"turbosyn_tt", "turbomap"},
+        {"turbosyn_bisect", "turbosyn", "flowsyn_s"},
+        {"turbomap", "turbosyn_bisect"},
     };
     const std::vector<std::string>& names = kPortfolios[seed % kPortfolios.size()];
     std::vector<const EngineSpec*> engines;

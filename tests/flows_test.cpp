@@ -272,14 +272,5 @@ TEST(Flows, CircuitInReusedStorageMatchesAFreshRun) {
   EXPECT_EQ(hash, 0xe7bc56130a4eefa5ULL);
 }
 
-TEST(Flows, TruthTableEngineMatchesBddEngine) {
-  const Circuit c = figure1_circuit();
-  FlowOptions bdd_opt;
-  bdd_opt.k = 3;
-  FlowOptions tt_opt = bdd_opt;
-  tt_opt.use_bdd = false;
-  EXPECT_EQ(run_turbosyn(c, bdd_opt).phi, run_turbosyn(c, tt_opt).phi);
-}
-
 }  // namespace
 }  // namespace turbosyn

@@ -12,6 +12,7 @@
 #include "core/flows.hpp"
 #include "core/portfolio.hpp"
 #include "netlist/blif.hpp"
+#include "netlist/canonical.hpp"
 #include "verify/audit.hpp"
 #include "workloads/generator.hpp"
 
@@ -238,6 +239,32 @@ TEST(Portfolio, ParseRejectsBadSpecs) {
   EXPECT_FALSE(parse_portfolio("turbosyn,,turbomap", engines).empty());
   EXPECT_TRUE(parse_portfolio("turbosyn,turbomap,flowsyn_s", engines).empty());
   EXPECT_EQ(engines.size(), 3u);
+}
+
+TEST(Portfolio, SeededAndBisectTurboSynTieOnTable1) {
+  // Equal strength and quality key: a race between the two cancels whichever
+  // certifies second, which is sound only because both certify the same φ.
+  // Their mapped networks coincide too, so either winner gives one result.
+  const EngineSpec* seeded = find_engine("turbosyn");
+  const EngineSpec* bisect = find_engine("turbosyn_bisect");
+  ASSERT_NE(seeded, nullptr);
+  ASSERT_NE(bisect, nullptr);
+  EXPECT_TRUE(never_beats(*seeded, *bisect));
+  EXPECT_TRUE(never_beats(*bisect, *seeded));
+  int circuits = 0;
+  for (const BenchmarkSpec& spec : table1_suite()) {
+    if (spec.name != "bbara" && spec.name != "bbsse") continue;
+    ++circuits;
+    const Circuit c = generate_fsm_circuit(spec);
+    const FlowResult a = run_engine(*seeded, c, FlowOptions{});
+    const FlowResult b = run_engine(*bisect, c, FlowOptions{});
+    EXPECT_EQ(a.status, Status::kOk) << spec.name;
+    EXPECT_EQ(b.status, Status::kOk) << spec.name;
+    EXPECT_EQ(a.phi, b.phi) << spec.name;
+    EXPECT_EQ(fnv1a64(write_blif_string(a.mapped)), fnv1a64(write_blif_string(b.mapped)))
+        << spec.name;
+  }
+  EXPECT_EQ(circuits, 2);
 }
 
 }  // namespace

@@ -193,8 +193,6 @@ STATS_MAP = {
     'ts_cache_store_retries_total': ('cache', 'store_retries'),
     'ts_cache_hot_hits_total': ('cache', 'hot_hits'),
     'ts_cache_hot_evictions_total': ('cache', 'hot_evictions'),
-    'ts_cache_hot_cost_evictions_total': ('cache', 'hot_cost_evictions'),
-    'ts_cache_hot_cost_retained_seconds_total': ('cache', 'hot_cost_retained_seconds'),
     'ts_cache_hot_entries': ('cache', 'hot_entries'),
     'ts_cache_hot_bytes': ('cache', 'hot_bytes'),
     'ts_portfolio_runs_total': ('portfolio', 'runs'),

@@ -2,7 +2,6 @@
 //
 //   $ ./tsd --socket /tmp/tsd.sock [--tcp-port N] [--workers N]
 //           [--cache-dir PATH] [--hot-mb N] [--hot-entries N]
-//           [--hot-policy recency|cost-aware]
 //           [--max-queue N] [--per-client N]
 //           [--budget-ms N] [--per-request-ms N]
 //           [--jsonl PATH] [--max-attempts N]
@@ -20,8 +19,7 @@
 // opens the observability endpoint: GET /metrics (Prometheus text
 // exposition), GET /healthz (200 while serving, 503 during the drain), and
 // GET /trace/<seq> for per-request trace JSON when --trace-ring N keeps the
-// last N requests' span trees in memory. --hot-policy picks the hot tier's
-// eviction policy (DESIGN.md §16); results are bit-identical either way.
+// last N requests' span trees in memory.
 //
 // Every numeric flag goes through parse_int_strict: a malformed value is a
 // usage error (exit 2), never a silent zero.
@@ -45,7 +43,6 @@ namespace {
   std::cerr << "error: " << message << '\n'
             << "usage: tsd --socket PATH [--tcp-port N] [--workers N]\n"
                "           [--cache-dir PATH] [--hot-mb N] [--hot-entries N]\n"
-               "           [--hot-policy recency|cost-aware]\n"
                "           [--max-queue N] [--per-client N]\n"
                "           [--budget-ms N] [--per-request-ms N]\n"
                "           [--jsonl PATH] [--max-attempts N]\n"
@@ -63,7 +60,6 @@ int main(int argc, char** argv) {
   std::string jsonl_path;
   std::string trace_path;
   std::string failpoints;
-  std::string hot_policy_name_arg = "recency";
   int tcp_port = -1;
   int http_port = -1;
   int workers = 2;
@@ -109,12 +105,6 @@ int main(int argc, char** argv) {
     } else if (a == "--trace-ring") {
       int_flag("--trace-ring", i, 0, 1 << 20, &trace_ring);
       ++i;
-    } else if (a == "--hot-policy" && i + 1 < argc) {
-      hot_policy_name_arg = argv[++i];
-      if (!parse_hot_policy(hot_policy_name_arg).has_value()) {
-        usage_error("--hot-policy expects 'recency' or 'cost-aware', got '" +
-                    hot_policy_name_arg + "'");
-      }
     } else if (a == "--workers") {
       int_flag("--workers", i, 1, 1 << 10, &value);
       workers = static_cast<int>(value);
@@ -168,7 +158,6 @@ int main(int argc, char** argv) {
       if (hot_mb > 0) {
         cache->enable_hot_tier(static_cast<std::size_t>(hot_mb) << 20,
                                static_cast<std::size_t>(hot_entries));
-        cache->set_hot_policy(*parse_hot_policy(hot_policy_name_arg));
       }
     }
     std::unique_ptr<std::ofstream> jsonl;
