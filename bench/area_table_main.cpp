@@ -29,7 +29,6 @@ int main(int argc, char** argv) {
   const bool audit = cli.audit;
   FlowOptions opt;
   opt.budget = cli.budget;
-  opt.incremental = cli.incremental;
   opt.collect_artifacts = audit;
   opt.trace = cli.trace();
   FlowOptions no_relax = opt;

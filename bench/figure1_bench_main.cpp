@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
     const Circuit c = figure1_circuit();
     FlowOptions opt;
     opt.budget = cli.budget;
-    opt.incremental = cli.incremental;
     opt.k = 3;
     opt.collect_artifacts = audit;
     opt.trace = cli.trace();
@@ -47,7 +46,6 @@ int main(int argc, char** argv) {
     const Circuit c = ring_circuit(stages, regs);
     FlowOptions opt;
     opt.budget = cli.budget;
-    opt.incremental = cli.incremental;
     opt.collect_artifacts = audit;
     opt.trace = cli.trace();
     const FlowResult tm = run_turbomap(c, opt);

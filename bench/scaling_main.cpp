@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
   const bool audit = cli.audit;
   FlowOptions opt;
   opt.budget = cli.budget;
-  opt.incremental = cli.incremental;
   opt.collect_artifacts = audit;
   opt.trace = cli.trace();
   bool audits_ok = true;

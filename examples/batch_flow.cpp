@@ -153,7 +153,6 @@ int main(int argc, char** argv) {
       }
     }
     options.flow.budget = cli.budget;
-    options.flow.incremental = cli.incremental;
     options.flow.trace = cli.trace();
     options.cache = cache ? &*cache : nullptr;
     options.cancel = &global_cancel_token();  // Ctrl-C drains the batch

@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
   FlowOptions options;
   options.k = 4;
   options.budget = cli.budget;  // unlimited unless budget flags were given
-  options.incremental = cli.incremental;
   options.collect_artifacts = cli.audit;
   options.trace = cli.trace();  // nullptr unless --trace-json was given
   std::optional<FlowCache> cache;  // --cache-dir: persistent artifact store

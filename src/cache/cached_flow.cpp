@@ -207,20 +207,15 @@ std::shared_ptr<const WarmImport> derive_near_miss_seed(const Circuit& c,
     }
   }
 
-  // The seed is useful iff at least one updatable gate survived untainted:
-  // those gates keep the donor's converged label and stay off the incremental
-  // dirty set (the verification sweep still re-proves the fixpoint, so an
-  // imprecise hint costs time, never correctness).
-  bool transfers = false;
+  // The seed is useful iff at least one updatable gate survived untainted and
+  // so keeps the donor's converged label (the sweeps still re-prove the
+  // fixpoint, so an imprecise seed costs time, never correctness).
   for (NodeId v = 0; v < c.num_nodes(); ++v) {
-    if (!topo.flag(v, CsrTopology::kUpdatableGate)) continue;
-    if (tainted[static_cast<std::size_t>(v)]) {
-      seed->dirty_hint.push_back(v);
-    } else {
-      transfers = true;
+    if (topo.flag(v, CsrTopology::kUpdatableGate) && !tainted[static_cast<std::size_t>(v)]) {
+      return seed;
     }
   }
-  return transfers ? seed : nullptr;
+  return nullptr;
 }
 
 /// Replays a hit's artifacts through the staged driver. `period_objective`
@@ -277,7 +272,7 @@ void trace_cache_counters(TraceSink* trace, const FlowCache& cache) {
 void maybe_warm_start(const Circuit& c, const CacheKey& key, const FlowCache& cache,
                       const FlowOptions& options, FlowOptions& run_options,
                       CacheRunInfo* info) {
-  if (!options.incremental || options.warm_import != nullptr) return;
+  if (options.warm_import != nullptr) return;
   const std::optional<FlowCache::NearMiss> near = cache.lookup_near(key);
   if (!near.has_value()) return;
   const std::size_t nl = key.text.find('\n');

@@ -127,8 +127,6 @@ void FlowDriver::run(Stage& stage) {
   add_counter(metric, "cut_fn_hits", after.cut_fn_hits - before.cut_fn_hits);
   add_counter(metric, "cut_fn_misses", after.cut_fn_misses - before.cut_fn_misses);
   add_counter(metric, "cut_fn_bytes", after.cut_fn_bytes - before.cut_fn_bytes);
-  add_counter(metric, "dirty_rounds", after.dirty_rounds - before.dirty_rounds);
-  add_counter(metric, "nodes_skipped", after.nodes_skipped - before.nodes_skipped);
   for (const auto& [name, value] : metric.counters) span.counter(name, value);
   // A failed stage provides nothing: downstream consumes-contracts stay
   // unsatisfied, so even a caller that ignores the status cannot run the
@@ -177,9 +175,6 @@ LabelResult ledger_probe(FlowContext& ctx, LabelEngine& engine, LabelMode mode, 
   rec.feasible = r.feasible;
   rec.label_hash = r.feasible ? hash_labels(r.labels) : 0;
   rec.max_po_label = r.max_po_label;
-  // Nonzero dirty-set counters are the engine's signature that this probe
-  // ran (or shortcut) the incremental path rather than full cold sweeps.
-  rec.incremental = r.stats.dirty_rounds > 0 || r.stats.nodes_skipped > 0;
   rec.stats = r.stats;
   rec.seconds = seconds_since(start);
   span.counter("labels_computed", r.stats.node_updates);
@@ -190,9 +185,6 @@ LabelResult ledger_probe(FlowContext& ctx, LabelEngine& engine, LabelMode mode, 
   span.counter("cut_fn_hits", r.stats.cut_fn_hits);
   span.counter("cut_fn_misses", r.stats.cut_fn_misses);
   span.counter("cut_fn_bytes", r.stats.cut_fn_bytes);
-  span.counter("dirty_rounds", r.stats.dirty_rounds);
-  span.counter("nodes_skipped", r.stats.nodes_skipped);
-  span.counter("incremental", rec.incremental ? 1 : 0);
   ctx.ledger.record(std::move(rec));
   ctx.count("probes", 1);
   return r;

@@ -17,7 +17,6 @@ LabelOptions FlowOptions::label_options(bool enable_decomposition) const {
   l.cmax = cmax;
   l.height_span = height_span;
   l.use_pld = use_pld;
-  l.incremental = incremental;
   l.budget = budget;  // copies share state: one budget governs the whole flow
   l.expansion = expansion;
   l.expansion.flow_augment_budget = budget.flow_augment_budget();

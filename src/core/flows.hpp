@@ -40,9 +40,8 @@ class TraceSink;
 /// fixpoint (and every verdict) itself, so the seed is never a certificate
 /// and results stay bit-identical to a cold run.
 struct WarmImport {
-  int phi = 0;                      // donor fixpoint's φ; seeds probes at φ' <= φ
-  std::vector<int> labels;          // by input node id
-  std::vector<NodeId> dirty_hint;   // gates reset below the donor fixpoint
+  int phi = 0;              // donor fixpoint's φ; seeds probes at φ' <= φ
+  std::vector<int> labels;  // by input node id
 };
 
 struct FlowOptions {
@@ -61,14 +60,12 @@ struct FlowOptions {
   /// Has no effect: the label engine runs one sequential sweep. Kept only
   /// so existing callers that assign it still compile.
   int num_threads = 0;
-  /// Dirty-set incremental label recomputation for warm-seeded plain-update
-  /// probes (see LabelOptions::incremental). Default on; converged labels
-  /// and all mapped results are bit-identical either way, so this is
-  /// excluded from the flow-cache key.
+  /// Has no effect: the label engine has one plain sweep. Kept only so
+  /// existing callers that assign it still compile; not in the cache key.
   bool incremental = true;
   /// Optional near-miss warm seed applied to the plain-mode search engine
   /// (never a certificate — see WarmImport). Shared, not owned; excluded
-  /// from the cache key for the same reason as `incremental`.
+  /// from the cache key because results are bit-identical with or without it.
   std::shared_ptr<const WarmImport> warm_import;
   /// Record the winning labels and per-node realizations in
   /// FlowResult::artifacts so the invariant auditor (verify/audit.hpp) can

@@ -83,9 +83,6 @@ struct ProbeRecord {
   /// and the auditor excludes them from the uniqueness, certification and
   /// rejection-witness checks. Always has `imported` set and feasible=false.
   bool seed_only = false;
-  /// The probe ran the dirty-set incremental iteration (warm-seeded plain
-  /// update); converged labels are bit-identical either way.
-  bool incremental = false;
   std::uint64_t label_hash = 0;  // hash_labels() when feasible, else 0
   int max_po_label = 0;
   LabelStats stats;

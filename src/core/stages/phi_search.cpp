@@ -21,7 +21,7 @@ void PhiSearchStage::run(FlowContext& ctx) {
   if (const WarmImport* wi = ctx.options.warm_import.get();
       wi != nullptr && config_.mode == LabelMode::kPlain && wi->phi >= 1 &&
       static_cast<int>(wi->labels.size()) == static_cast<int>(ctx.input.num_nodes())) {
-    engine.import_warm(wi->phi, wi->labels, wi->dirty_hint);
+    engine.import_warm(wi->phi, wi->labels);
     ProbeRecord seed_rec;
     seed_rec.phi = wi->phi;
     seed_rec.mode = LabelMode::kPlain;

@@ -249,7 +249,7 @@ TEST(FlowCacheNearMiss, EditedCircuitWarmStartsAndStaysBitIdentical) {
   EXPECT_TRUE(replay_report.passed()) << replay_report.breakdown();
 }
 
-TEST(FlowCacheNearMiss, DisabledIncrementalAndForeignSketchSkipSeeding) {
+TEST(FlowCacheNearMiss, ForeignSketchSkipsSeeding) {
   const fs::path dir = test_dir("near_gate");
   const Circuit donor = read_blif_string(counter3_blif());
   FlowOptions opt = small_options();
@@ -258,14 +258,6 @@ TEST(FlowCacheNearMiss, DisabledIncrementalAndForeignSketchSkipSeeding) {
   CacheRunInfo info;
   (void)run_flow_cached(FlowKind::kTurboMap, donor, opt, &cache, &info);
   ASSERT_TRUE(info.stored);
-
-  // --no-incremental turns near-miss seeding off with it.
-  const Circuit edited = read_blif_string(counter3_edited_blif());
-  FlowOptions no_inc = opt;
-  no_inc.incremental = false;
-  (void)run_flow_cached(FlowKind::kTurboMap, edited, no_inc, &cache, &info);
-  EXPECT_FALSE(info.near_miss);
-  EXPECT_EQ(cache.near_hits(), 0);
 
   // A different interface is a different sketch: no donor.
   const Circuit foreign = bounded_sample(gray_counter_blif());

@@ -52,6 +52,7 @@
 #include "cache/cached_flow.hpp"
 #include "core/engines.hpp"
 #include "core/flows.hpp"
+#include "core/labeling.hpp"
 #include "core/portfolio.hpp"
 #include "netlist/blif.hpp"
 #include "verify/audit.hpp"
@@ -212,24 +213,15 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
     expect(out, fingerprint(replay) == fingerprint(ts), "turbosyn replay is not bit-identical");
   }
 
-  // Incremental-vs-cold bit-identity: dirty-set warm starts must change the
-  // work counters only — phi, labels and the mapping stay identical. (The
-  // runs above used the default, incremental path.)
+  // Warm-vs-cold label identity: the φ search warm-starts each plain probe
+  // from a higher feasible φ, which must change the work counters only. A
+  // fresh one-shot engine at the winning φ starts from the base labels and
+  // must reach the same least fixpoint.
   {
-    FlowOptions cold_opt = opt;
-    cold_opt.incremental = false;
-    const FlowResult tm_cold = run_turbomap(c, cold_opt);
-    expect(out, fingerprint(tm_cold) == fingerprint(tm),
-           "turbomap incremental and cold runs differ");
-    expect(out, tm_cold.artifacts.labels.labels == tm.artifacts.labels.labels,
-           "turbomap incremental and cold label vectors differ");
-    if (seed % 2 == 1) {
-      const FlowResult ts_cold = run_turbosyn(c, cold_opt);
-      expect(out, fingerprint(ts_cold) == fingerprint(ts),
-             "turbosyn incremental and cold runs differ");
-      expect(out, ts_cold.artifacts.labels.labels == ts.artifacts.labels.labels,
-             "turbosyn incremental and cold label vectors differ");
-    }
+    const LabelResult cold = compute_labels(c, tm.phi, opt.label_options(false));
+    expect(out, cold.feasible, "turbomap phi is infeasible for a cold label computation");
+    expect(out, cold.labels == tm.artifacts.labels.labels,
+           "turbomap warm-started and cold label vectors differ");
   }
 
   // Tight resource ceilings: the run may degrade, but the result must still
@@ -276,8 +268,8 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
 
     // Near-miss warm start: a one-gate edit of the same circuit retrieves
     // the stored TurboMap entry as a donor seed; the seeded run must match
-    // its own cold (no-incremental) run bit for bit, the seed must never
-    // certify anything, and the result must still audit clean.
+    // its own uncached run bit for bit, the seed must never certify
+    // anything, and the result must still audit clean.
     if (seed % 2 == 0) {
       CacheRunInfo tm_info;
       const FlowResult tm_cached =
@@ -285,15 +277,13 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
       expect(out, fingerprint(tm_cached) == fingerprint(tm),
              "through-cache: turbomap populate run differs from the uncached run");
       const Circuit edited = mutate_one_gate(c, seed);
-      FlowOptions cold_opt = opt;
-      cold_opt.incremental = false;
-      const FlowResult edited_cold = run_turbomap(edited, cold_opt);
+      const FlowResult edited_uncached = run_turbomap(edited, opt);
       CacheRunInfo near_info;
       const FlowResult seeded =
           run_flow_cached(FlowKind::kTurboMap, edited, opt, cache, &near_info);
       expect(out, !near_info.hit, "near-miss: edited circuit hit the exact cache");
-      expect(out, fingerprint(seeded) == fingerprint(edited_cold),
-             "near-miss: seeded run differs from the cold run");
+      expect(out, fingerprint(seeded) == fingerprint(edited_uncached),
+             "near-miss: seeded run differs from the uncached run");
       bool seed_certifies = false;
       for (const ProbeRecord& rec : seeded.probes) {
         if (rec.seed_only && rec.feasible) seed_certifies = true;
@@ -312,9 +302,7 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
   // import-only, audit-clean ledgers.
   if (cfg.hot_tier) {
     const Circuit edited = mutate_one_gate(c, seed);
-    FlowOptions cold_opt = opt;
-    cold_opt.incremental = false;
-    const FlowResult edited_baseline = run_turbosyn(edited, cold_opt);
+    const FlowResult edited_baseline = run_turbosyn(edited, opt);
 
     const std::filesystem::path dir =
         std::filesystem::temp_directory_path() /

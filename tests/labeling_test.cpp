@@ -227,6 +227,40 @@ TEST(Labeling, WarmStartedEngineMatchesColdComputation) {
   }
 }
 
+// An imported seed (the near-miss cache's transfer) is only a pointwise lower
+// bound: a converged fixpoint with some gates reset to the base label. Every
+// probe seeded from it must still reach the cold least fixpoint.
+TEST(Labeling, ImportedWarmSeedMatchesColdComputation) {
+  constexpr int kSeedPhi = 6;
+  for (const auto& spec : tiny_suite()) {
+    const Circuit c = generate_fsm_circuit(spec);
+    const LabelOptions lo = turbomap_options(5);
+    const LabelResult fixpoint = compute_labels(c, kSeedPhi, lo);
+    ASSERT_TRUE(fixpoint.feasible) << spec.name;
+    std::vector<int> seed = fixpoint.labels;
+    int reset = 0;
+    for (NodeId v = 0; v < c.num_nodes(); ++v) {
+      if (c.is_gate(v) && !c.fanin_edges(v).empty() && v % 3 == 0) {
+        seed[static_cast<std::size_t>(v)] = 1;
+        ++reset;
+      }
+    }
+    ASSERT_GT(reset, 0) << spec.name;
+
+    LabelEngine engine(c, lo);
+    engine.import_warm(kSeedPhi, seed);
+    for (int phi = kSeedPhi; phi >= 1; --phi) {
+      const LabelResult warm = engine.compute(phi);
+      const LabelResult cold = compute_labels(c, phi, lo);
+      ASSERT_EQ(warm.feasible, cold.feasible) << spec.name << " phi=" << phi;
+      if (cold.feasible) {
+        EXPECT_EQ(warm.labels, cold.labels) << spec.name << " phi=" << phi;
+        EXPECT_EQ(warm.max_po_label, cold.max_po_label) << spec.name << " phi=" << phi;
+      }
+    }
+  }
+}
+
 // The decomposition update is not monotone, so warm starts could converge on
 // a different (still valid) fixpoint than a cold run — which would make
 // TurboSYN results depend on probe history, and on tiny_suite()[3] picks
